@@ -328,17 +328,12 @@ type remoteFlags struct {
 	repl   *int
 	seg    *int64
 	chunk  *int
-	stream *bool
 }
 
-// clientConfig translates the streaming flags into the per-node client
+// clientConfig translates the chunk flag into the per-node client
 // template.
 func (rf *remoteFlags) clientConfig() rpc.ClientConfig {
-	cfg := rpc.ClientConfig{ChunkSize: *rf.chunk << 10}
-	if *rf.stream {
-		cfg.StreamThreshold = -1
-	}
-	return cfg
+	return rpc.ClientConfig{ChunkSize: *rf.chunk << 10}
 }
 
 func addRemoteFlags(fs *flag.FlagSet) *remoteFlags {
@@ -351,8 +346,7 @@ func addRemoteFlags(fs *flag.FlagSet) *remoteFlags {
 		nodes:  fs.Int("nodes", 4, "I/O node count of the deployment"),
 		repl:   fs.Int("replication", 1, "replica count the file was created with"),
 		seg:    fs.Int64("seg-bytes", clusterfile.DefaultScrubSegmentBytes, "scrub segment granularity in bytes"),
-		chunk:  fs.Int("chunk-kb", 0, "streamed-transfer wire chunk in KiB (0 = default 1024)"),
-		stream: fs.Bool("no-stream", false, "disable proto-v3 chunked streaming (single-frame transfers)"),
+		chunk:  fs.Int("chunk-kb", 0, "wire chunk in KiB: larger transfers stream in chunks (0 = default 1024)"),
 	}
 }
 

@@ -25,8 +25,9 @@
 // the listener closes, in-flight requests finish (bounded by
 // -drain-timeout), and every store is synced and closed before exit.
 //
-// Tracing is on by default (-trace=false turns it off): clients that
-// negotiate FeatureTrace get server-side spans piggybacked on replies,
+// Tracing is on by default (-trace=false turns it off): requests whose
+// frame header carries a trace ID get server-side spans returned on
+// the reply,
 // -metrics-addr additionally serves /debug/trace and /debug/pprof/,
 // -node labels this daemon's spans and structured log lines (default:
 // the bound listen address), and -slow-op 50ms warns about any request
@@ -73,12 +74,11 @@ func main() {
 	dataDir := flag.String("data-dir", "", "store subfiles as real files in this directory (default: in-memory)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the RPC metrics over HTTP on this address (/metrics, /metrics.json, /report)")
 	maxFrameMB := flag.Int64("max-frame-mb", 64, "maximum accepted frame size in MiB")
-	maxProto := flag.Int("max-proto", 0, "cap the negotiated protocol version (0 = newest; 2 disables streaming/multiplexing, 1 also disables checksums)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 	faultSpec := flag.String("fault", "", "inject connection faults, e.g. error:0.01,delay:5ms (kinds: error, error-once, delay, corrupt, failafter)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault schedules (reproducible runs)")
 	nodeName := flag.String("node", "", "node label stamped on this daemon's trace spans and log lines (default: the listen address)")
-	trace := flag.Bool("trace", true, "grant FeatureTrace to clients and record server-side spans (off: byte-identical v2/v3 wire behavior)")
+	trace := flag.Bool("trace", true, "record server-side spans for requests that carry a trace ID and return them to the caller")
 	slowOp := flag.Duration("slow-op", 0, "log a structured warning for server requests slower than this (0 disables)")
 	qosOn := flag.Bool("qos", false, "enable admission control and fair-share scheduling on the data plane")
 	qosInflight := flag.Int("qos-inflight", 0, "max concurrently executing data-plane requests (0 = default 256)")
@@ -94,9 +94,6 @@ func main() {
 	}
 	if *maxFrameMB < 1 {
 		log.Fatalf("-max-frame-mb %d must be at least 1", *maxFrameMB)
-	}
-	if *maxProto < 0 || *maxProto > rpc.MaxProtoVersion {
-		log.Fatalf("-max-proto %d must be between 0 and %d", *maxProto, rpc.MaxProtoVersion)
 	}
 
 	reg := obs.NewRegistry()
@@ -137,16 +134,15 @@ func main() {
 		slogger = obs.NewLogger(os.Stderr, node)
 	}
 	srv := rpc.NewServer(rpc.ServerConfig{
-		DataDir:         *dataDir,
-		MaxFrame:        *maxFrameMB << 20,
-		MaxProtoVersion: *maxProto,
-		Metrics:         reg,
-		Trace:           *trace,
-		Node:            node,
-		Tracer:          tracer,
-		Log:             slogger,
-		SlowOp:          *slowOp,
-		QoS:             limiter,
+		DataDir:  *dataDir,
+		MaxFrame: *maxFrameMB << 20,
+		Metrics:  reg,
+		Trace:    *trace,
+		Node:     node,
+		Tracer:   tracer,
+		Log:      slogger,
+		SlowOp:   *slowOp,
+		QoS:      limiter,
 	})
 	if *faultSpec != "" {
 		plan, err := fault.ParseSpec(*faultSpec, *faultSeed)

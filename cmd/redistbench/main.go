@@ -3,9 +3,10 @@
 // (scatter time at an I/O node) — on the simulated Clusterfile
 // deployment, printing each value beside the paper's published number.
 // With -json it instead runs the loopback-TCP throughput benchmark
-// (streamed vs monolithic wire ablation plus the redistribution
-// pipeline) and writes the machine-readable record that BENCH_6.json
-// is produced from.
+// (the wire ablation — chunked streams vs "monolithic", the same
+// connection path with a chunk as large as the payload — plus the
+// redistribution pipeline) and writes the machine-readable record that
+// BENCH_6.json is produced from.
 //
 // Usage:
 //
@@ -46,7 +47,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve the collected metrics over HTTP on this address after the run (/metrics Prometheus text, /metrics.json JSON, /report table, /debug/pprof profiles, /debug/trace); keeps the process alive")
 	jsonOut := flag.String("json", "",
-		"run the throughput benchmark instead of the tables and write the JSON report to this path (\"-\" for stdout)")
+		"run the throughput benchmark (chunked streams vs one frame per op over the same connection path) instead of the tables and write the JSON report to this path (\"-\" for stdout)")
 	short := flag.Bool("short", false, "shrink the -json benchmark to CI smoke-test scale")
 	flag.Parse()
 

@@ -19,9 +19,9 @@ import (
 )
 
 // throughput.go measures the data path over loopback TCP: large
-// segment operations through the monolithic (proto v2, one frame per
-// op) wire path versus the chunked streamed path (proto v3), plus the
-// end-to-end redistribution through each transport. The report backs
+// segment operations as one frame per op (monolithic: a chunk as big as
+// the payload) versus chunked streams, plus the end-to-end
+// redistribution through each transport. The report backs
 // the checked-in BENCH record and the -json mode of cmd/redistbench.
 
 // ThroughputOptions configures RunThroughput. The zero value takes
@@ -376,10 +376,11 @@ func RunThroughput(opts ThroughputOptions) (*ThroughputReport, error) {
 		Short:      opts.Short,
 	}
 
-	// Wire ablation: identical ops, monolithic v2 frames vs chunked v3
+	// Wire ablation: identical ops over the same connection path, one
+	// frame per op (the chunk holds the whole payload) vs chunked
 	// streams.
-	mono := rpc.ClientConfig{ProtoVersion: rpc.ProtoVersion2, MaxFrame: 2 * opts.OpBytes}
-	streamed := rpc.ClientConfig{ChunkSize: opts.ChunkSize, StreamThreshold: 1}
+	mono := rpc.ClientConfig{ChunkSize: int(opts.OpBytes), MaxFrame: 2 * opts.OpBytes}
+	streamed := rpc.ClientConfig{ChunkSize: opts.ChunkSize}
 	for _, m := range []struct {
 		name string
 		cfg  rpc.ClientConfig
@@ -394,16 +395,13 @@ func RunThroughput(opts ThroughputOptions) (*ThroughputReport, error) {
 	rep.ReadSpeedup = rep.Wire[1].ReadMBps / rep.Wire[0].ReadMBps
 
 	// Redistribution: in-process reference plus both TCP transports.
-	// A 64 KiB stream threshold keeps small control transfers on the
-	// unary mux path and the bulk extents on the chunked path.
-	streamedCluster := rpc.ClientConfig{ChunkSize: opts.ChunkSize, StreamThreshold: 64 << 10}
 	modes := []struct {
 		name   string
 		client *rpc.ClientConfig
 	}{
 		{"inproc", nil},
 		{"tcp-monolithic", &mono},
-		{"tcp-streamed", &streamedCluster},
+		{"tcp-streamed", &streamed},
 	}
 	var results []*redistResult
 	for _, m := range modes {

@@ -20,13 +20,12 @@ import (
 // through the clusterfile collective protocol against the placement's
 // data daemons. When a daemon answers ErrStalePlacement — the file was
 // rebalanced under the client — the client refetches the map from the
-// service, retires pooled connections to nodes that left the
+// service, retires connections to nodes that left the
 // placement, reopens the new generation and retries transparently.
 
 // Options configures Dial.
 type Options struct {
-	// Client is the per-daemon client template (Addr/Placement are set
-	// by the FS). The Placement feature is always offered.
+	// Client is the per-daemon client template (Addr is set by the FS).
 	Client rpc.ClientConfig
 	// OpTimeout bounds every collective data operation (zero: none).
 	OpTimeout time.Duration
@@ -148,15 +147,13 @@ func (fs *FS) open(ctx context.Context, mf *rpc.MetaFile) (*File, error) {
 	return f, nil
 }
 
-// transportOptions is the shared data-daemon transport template: the
-// Placement feature offered (so epoch-stamped requests are checked,
-// not silently accepted), reopen-without-truncate semantics (several
-// clients and the rebalance driver share the stores), and tracing
-// offered whenever the FS has a tracer so data ops — rebalance copies
-// included — show up in the daemons' /debug/trace.
+// transportOptions is the shared data-daemon transport template:
+// reopen-without-truncate semantics (several clients and the rebalance
+// driver share the stores), and tracing on whenever the FS has a
+// tracer so data ops — rebalance copies included — show up in the
+// daemons' /debug/trace.
 func (fs *FS) transportOptions() rpc.Options {
 	client := fs.opts.Client
-	client.Placement = true
 	if fs.opts.Tracer != nil {
 		client.Trace = true
 	}

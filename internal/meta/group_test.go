@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"parafile/internal/fault"
 	"parafile/internal/obs"
 	"parafile/internal/rpc"
 )
@@ -30,6 +31,8 @@ type groupCluster struct {
 	t     *testing.T
 	nodes []*groupNode
 	addrs []string
+	// storeFault, when non-nil, interposes on every node's log appends.
+	storeFault *fault.Injector
 }
 
 const (
@@ -40,7 +43,12 @@ const (
 
 func startGroupCluster(t *testing.T, n int) *groupCluster {
 	t.Helper()
-	gc := &groupCluster{t: t}
+	return startFaultyGroupCluster(t, n, nil)
+}
+
+func startFaultyGroupCluster(t *testing.T, n int, storeFault *fault.Injector) *groupCluster {
+	t.Helper()
+	gc := &groupCluster{t: t, storeFault: storeFault}
 	listeners := make([]net.Listener, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -60,7 +68,7 @@ func startGroupCluster(t *testing.T, n int) *groupCluster {
 func (gc *groupCluster) startNode(dir string, ln net.Listener, addr string) *groupNode {
 	gc.t.Helper()
 	reg := obs.NewRegistry()
-	store, err := OpenStore(dir, StoreConfig{Metrics: reg})
+	store, err := OpenStore(dir, StoreConfig{Metrics: reg, Fault: gc.storeFault})
 	if err != nil {
 		gc.t.Fatalf("OpenStore: %v", err)
 	}

@@ -15,13 +15,12 @@ import (
 	"parafile/internal/rpc"
 )
 
-// service.go is the parafilemd daemon: a small TCP loop speaking the
-// storage wire's framing (length-prefixed frames, hello negotiation,
-// MsgError) but answering the namespace/placement messages instead of
-// the data-path ones. It caps the negotiated protocol at v2 — the
-// metadata exchanges are tiny unary round-trips, so the v3 mux buys
-// nothing; a default (v3-wanting) client falls back to classic pooled
-// connections on its own.
+// service.go is the parafilemd daemon: it serves accepted connections
+// through the storage wire's connection loop (rpc.ServeConn — hello
+// preface, multiplexed frames, MsgError) but answers the
+// namespace/placement messages instead of the data-path ones. Requests
+// of one connection run concurrently, so a status probe or a read is
+// never parked behind a mutation waiting on its fsync or quorum.
 
 // DefaultStripeBytes is the striping unit a create without an explicit
 // stripe gets: subfile s holds bytes [s*W, (s+1)*W) of each period.
@@ -50,8 +49,7 @@ type ServiceConfig struct {
 
 // Service serves the metadata protocol on accepted connections.
 type Service struct {
-	cfg    ServiceConfig
-	maxVer byte
+	cfg ServiceConfig
 
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -69,14 +67,13 @@ func NewService(cfg ServiceConfig) *Service {
 		cfg.MaxFrame = rpc.DefaultMaxFrame
 	}
 	s := &Service{
-		cfg:    cfg,
-		maxVer: rpc.ProtoVersion2,
-		conns:  make(map[net.Conn]struct{}),
+		cfg:   cfg,
+		conns: make(map[net.Conn]struct{}),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		s.metRequests = make(map[byte]*obs.Counter)
 		for _, t := range []byte{
-			rpc.MsgHello, rpc.MsgPing,
+			rpc.MsgPing,
 			rpc.MsgMetaCreate, rpc.MsgMetaOpen, rpc.MsgMetaList, rpc.MsgMetaRemove,
 			rpc.MsgMetaCommit, rpc.MsgMetaExtend, rpc.MsgMetaNodes, rpc.MsgMetaNode,
 			rpc.MsgMetaVote, rpc.MsgMetaAppend, rpc.MsgMetaSnapInstall, rpc.MsgMetaStatus,
@@ -153,38 +150,16 @@ func (s *Service) serveConn(conn net.Conn) {
 			return
 		}
 	}
-	for {
-		body, err := rpc.ReadFrame(conn, s.cfg.MaxFrame)
-		if err != nil {
-			return
-		}
-		reqVer := body[0]
-		msgType, payload, err := rpc.ParseFrame(body)
-		var resp []byte
-		if err != nil {
-			resp = rpc.AppendError(nil, rpc.ErrCodeBadRequest, err.Error())
-		} else {
-			if c := s.metRequests[msgType]; c != nil {
-				c.Inc()
-			}
-			resp = s.route(msgType, payload)
-		}
-		respVer := reqVer
-		if respVer > s.maxVer {
-			respVer = s.maxVer
-		}
-		werr := rpc.WriteFrameV(conn, resp, respVer)
-		rpc.ReleaseFrame(body)
-		if werr != nil {
-			return
-		}
-	}
+	rpc.ServeConn(conn, s.cfg.MaxFrame, s.route)
 }
 
-func (s *Service) route(msgType byte, payload []byte) []byte {
+// route answers one request; the tenant a connection names is unused,
+// the metadata service runs no admission control.
+func (s *Service) route(_ string, msgType byte, payload []byte) []byte {
+	if c := s.metRequests[msgType]; c != nil {
+		c.Inc()
+	}
 	switch msgType {
-	case rpc.MsgHello:
-		return s.handleHello(payload)
 	case rpc.MsgPing:
 		if len(payload) != 0 {
 			return s.errResp(rpc.ErrCodeBadRequest, "ping with payload")
@@ -303,21 +278,6 @@ func (s *Service) handleStatus() []byte {
 		LastTerm:  trm,
 		Peers:     1,
 	})
-}
-
-// handleHello negotiates min(client, v2) and grants FeaturePlacement:
-// this daemon IS the placement authority.
-func (s *Service) handleHello(payload []byte) []byte {
-	want, features, err := rpc.DecodeHelloFeatures(payload)
-	if err != nil {
-		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
-	}
-	agreed := want
-	if agreed > s.maxVer {
-		agreed = s.maxVer
-	}
-	granted := rpc.FeaturePlacement & features
-	return rpc.AppendHelloRespFeatures(nil, agreed, granted)
 }
 
 // handleCreate computes the initial placement over the active nodes:

@@ -96,8 +96,8 @@ func (op Op) String() string {
 	return "unknown"
 }
 
-// DefaultTenant is the fair-share key for connections that negotiated
-// no tenant (legacy clients, or clients that never set one).
+// DefaultTenant is the fair-share key for connections whose client
+// set no tenant.
 const DefaultTenant = "default"
 
 // TenantLimit is one tenant's share and quota.

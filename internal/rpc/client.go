@@ -15,13 +15,10 @@ import (
 )
 
 // client.go is the compute-node side of the wire: one Client per I/O
-// node. Against a proto-v3 daemon all traffic multiplexes over a
-// single connection (mux.go) — concurrent operations interleave as
-// tagged streams, and large transfers travel as chunked streams that
+// node. All traffic to the node multiplexes over a single connection
+// (mux.go) — concurrent operations interleave as tagged streams, and
+// transfers larger than one chunk travel as chunked streams that
 // overlap network transmission with the server-side scatter/gather.
-// Against older daemons (or when capped below v3) the client keeps the
-// classic pool of synchronous request/response connections, with
-// overflow dialing bounded by a per-node semaphore.
 //
 // Every request in the protocol is idempotent — writes place the same
 // bytes at the same offsets, registration and close are
@@ -41,21 +38,11 @@ import (
 type ClientConfig struct {
 	// Addr is the node's host:port.
 	Addr string
-	// PoolSize caps pooled idle connections on the classic
-	// (non-multiplexed) path (default 2).
-	PoolSize int
-	// MaxConns caps concurrently checked-out connections on the classic
-	// path (default 4×PoolSize). Calls beyond the cap wait for a free
-	// token instead of dialing unbounded extra sockets; waits are
-	// observed on parafile_rpc_conn_wait_ns. The multiplexed path
-	// shares one connection and never consumes tokens.
-	MaxConns int
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
-	// WriteTimeout / ReadTimeout are per-request deadlines (default
-	// 30s each), capped by the call context's deadline. An expired
-	// deadline drops the connection and retries. On streams they apply
-	// per frame, not per operation.
+	// WriteTimeout / ReadTimeout are per-frame deadlines (default 30s
+	// each), capped by the call context's deadline. An expired
+	// deadline drops the connection and retries.
 	WriteTimeout time.Duration
 	ReadTimeout  time.Duration
 	// MaxRetries is the number of retry attempts after the first
@@ -72,20 +59,16 @@ type ClientConfig struct {
 	// reproducible schedules.
 	BackoffSeed int64
 	// Tenant names this client's fair-share class for server-side
-	// admission control: offered with FeatureTenant in the Hello,
-	// attached to the connection by daemons that speak the feature.
-	// Empty lands in the server's default class, and keeps the Hello
-	// bytes identical to the pre-tenant protocol.
+	// admission control; it travels in the connection's hello preface.
+	// Empty lands in the server's default class.
 	Tenant string
 	// MaxFrame bounds response frames (DefaultMaxFrame when 0).
 	MaxFrame int64
-	// ChunkSize is the wire chunk of proto-v3 streamed transfers
-	// (default 1 MiB).
+	// ChunkSize is the wire chunk (default 1 MiB, at most MaxFrame
+	// less the frame overhead): a WriteSegments/ReadSegments payload
+	// larger than one chunk travels as a chunked stream, anything
+	// smaller as a single frame.
 	ChunkSize int
-	// StreamThreshold is the payload size at and above which
-	// WriteSegments/ReadSegments travel as chunked streams on v3
-	// connections (default ChunkSize; negative disables streaming).
-	StreamThreshold int
 	// BreakerThreshold is the number of consecutive transport failures
 	// that opens the per-node circuit breaker (default 5; negative
 	// disables the breaker).
@@ -98,45 +81,17 @@ type ClientConfig struct {
 	// fail-after-N-bytes) here. Nil uses a plain TCP dial. The context
 	// passed in carries the dial timeout.
 	Dialer func(ctx context.Context, network, addr string) (net.Conn, error)
-	// ProtoVersion caps the protocol generation the client negotiates
-	// (0 means MaxProtoVersion). At 1 the client skips negotiation
-	// entirely and speaks bare v1 frames; at 2+ every fresh connection
-	// opens with a MsgHello exchange, downgrading to v1 when the daemon
-	// predates negotiation (it answers the Hello with MsgError). At 3
-	// the client multiplexes all traffic over one connection when the
-	// daemon agrees.
-	ProtoVersion int
 	// Metrics receives the client-side RPC series; nil records nothing.
 	Metrics *obs.Registry
-	// Trace enables distributed tracing: the client offers FeatureTrace
-	// in its Hello, and calls whose context carries a traced obs.Span
-	// travel in MsgTraced envelopes (or carry trace IDs on stream
-	// headers) against daemons that granted the feature. Against old
-	// daemons — or with Trace false — the wire bytes are identical to
-	// the untraced protocol, and calls without a span in their context
-	// pay nothing.
+	// Trace enables distributed tracing: calls whose context carries a
+	// traced obs.Span put its trace and span IDs in their frame
+	// headers, and the server spans a tracing daemon returns are
+	// attached to it. With Trace false the header fields stay zero;
+	// calls without a span in their context pay nothing either way.
 	Trace bool
-	// Placement enables placement-epoch awareness: the client offers
-	// FeaturePlacement in its Hello, and epoch-stamped requests (Epoch
-	// fields set nonzero by the meta layer) are accepted by daemons that
-	// speak the feature. With Placement false — the default — the Hello
-	// bytes are identical to the pre-placement protocol. Epoch-stamped
-	// requests sent to a daemon that predates the feature fail with a
-	// bad-request error rather than silently dropping the check, so a
-	// meta-managed file can never be served unfenced by an old daemon.
-	Placement bool
 }
 
 func (cfg *ClientConfig) fillDefaults() {
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 2
-	}
-	if cfg.MaxConns <= 0 {
-		cfg.MaxConns = 4 * cfg.PoolSize
-	}
-	if cfg.MaxConns < cfg.PoolSize {
-		cfg.MaxConns = cfg.PoolSize
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
@@ -163,8 +118,10 @@ func (cfg *ClientConfig) fillDefaults() {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 1 << 20
 	}
-	if cfg.StreamThreshold == 0 {
-		cfg.StreamThreshold = cfg.ChunkSize
+	// A chunk must fit a frame: past the cap the daemon would drop
+	// every chunk as oversized and the client retry to exhaustion.
+	if max := int(cfg.MaxFrame) - frameSlack; cfg.ChunkSize > max {
+		cfg.ChunkSize = max
 	}
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = 5
@@ -172,21 +129,6 @@ func (cfg *ClientConfig) fillDefaults() {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = time.Second
 	}
-	if cfg.ProtoVersion <= 0 || cfg.ProtoVersion > MaxProtoVersion {
-		cfg.ProtoVersion = MaxProtoVersion
-	}
-}
-
-// clientConn is one pooled connection and the protocol version its
-// MsgHello exchange settled on. tokened marks a connection checked out
-// under the MaxConns semaphore.
-type clientConn struct {
-	net.Conn
-	ver     byte
-	tokened bool
-	// features is the feature bitmask the daemon granted in its
-	// HelloResp (0 against pre-feature daemons).
-	features uint64
 }
 
 // respFrame is one parsed response: the pooled backing buffer plus the
@@ -196,12 +138,9 @@ type respFrame struct {
 	body    []byte
 	msgType byte
 	payload []byte
+	// spans are the server span records the frame header carried.
+	spans []obs.SpanRecord
 }
-
-// errNoMux reports that the peer negotiated below proto v3, so the
-// caller should take the classic path; the dialed connection was
-// handed to the idle pool, not wasted.
-var errNoMux = errors.New("rpc: peer does not speak proto v3")
 
 // Client talks to one I/O node.
 type Client struct {
@@ -214,17 +153,10 @@ type Client struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// sem is the MaxConns token semaphore of the classic path.
-	sem chan struct{}
-
-	mu      sync.Mutex
-	idle    []*clientConn
-	peerVer byte // last negotiated version; 0 until the first dial
-	closed  bool
-
-	// muxMu serializes (re)dialing the multiplexed connection.
-	muxMu sync.Mutex
-	mux   *muxConn
+	// mu guards the node's one connection and serializes redialing it.
+	mu     sync.Mutex
+	mux    *muxConn
+	closed bool
 
 	// registered remembers the projection fingerprints this node has
 	// acknowledged, so each shape's PROJ travels once (per client) —
@@ -265,7 +197,6 @@ func NewClient(cfg ClientConfig) *Client {
 		cfg: cfg,
 		met: newClientMetrics(cfg.Metrics),
 		rng: rand.New(rand.NewSource(seed)),
-		sem: make(chan struct{}, cfg.MaxConns),
 	}
 	if cfg.BreakerThreshold > 0 {
 		c.br = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown,
@@ -362,161 +293,91 @@ func (c *Client) paceRelease() { c.paceSlots.Add(-1) }
 // Addr returns the node address the client was built for.
 func (c *Client) Addr() string { return c.cfg.Addr }
 
-// Close closes pooled connections and the multiplexed connection.
-// In-flight calls on checked-out connections finish normally;
-// in-flight mux streams fail.
+// Close tears the node's connection down; in-flight calls fail.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
-	}
-	c.muxMu.Lock()
-	if c.mux != nil {
-		c.mux.fail(fmt.Errorf("rpc: client for %s is closed", c.cfg.Addr))
-		c.mux = nil
-	}
-	c.muxMu.Unlock()
+	c.teardown("is closed")
 	return nil
 }
 
-// Retire closes the client like Close, counting each torn-down
-// connection under parafile_pool_discards{kind="retired"}. The meta
-// layer calls it when a placement refresh drops the node from the map:
-// pooled connections to a node that no longer serves the file are
-// dead weight, better closed now than idling until discard caps evict
-// them.
+// Retire closes the client like Close, counting a torn-down connection
+// under parafile_pool_discards{kind="retired"}. The meta layer calls it
+// when a placement refresh drops the node from the map: a connection
+// to a node that no longer serves the file is dead weight.
 func (c *Client) Retire() error {
-	c.mu.Lock()
-	c.closed = true
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
+	if c.teardown("retired by placement refresh") {
 		c.met.poolRetired.Inc()
 	}
-	c.muxMu.Lock()
-	if c.mux != nil {
-		c.mux.fail(fmt.Errorf("rpc: client for %s retired by placement refresh", c.cfg.Addr))
-		c.mux = nil
-		c.met.poolRetired.Inc()
-	}
-	c.muxMu.Unlock()
 	return nil
 }
 
-// acquireToken takes a MaxConns token, observing the wait when the
-// semaphore is saturated.
-func (c *Client) acquireToken(ctx context.Context) error {
-	select {
-	case c.sem <- struct{}{}:
-		return nil
-	default:
+// teardown marks the client closed and fails its connection, reporting
+// whether there was one.
+func (c *Client) teardown(why string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	m := c.mux
+	c.mux = nil
+	if m != nil {
+		m.fail(fmt.Errorf("rpc: client for %s %s", c.cfg.Addr, why))
 	}
-	start := time.Now()
-	select {
-	case c.sem <- struct{}{}:
-		wait := time.Since(start)
-		c.met.connWaitNs.Observe(wait.Nanoseconds())
-		obs.SpanFromContext(ctx).AddInterval("conn_wait", start, wait)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return m != nil
 }
 
-func (c *Client) releaseToken() { <-c.sem }
+// getMux returns the node's live connection, dialing one if needed.
+func (c *Client) getMux(ctx context.Context) (*muxConn, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, fmt.Errorf("rpc: client for %s is closed", c.cfg.Addr)
+	}
+	if c.mux != nil && c.mux.alive() {
+		return c.mux, nil
+	}
+	c.mux = nil
+	conn, err := c.dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	c.mux = newMuxConn(conn, &c.cfg)
+	return c.mux, nil
+}
 
-// dial establishes and (for want ≥ 2) negotiates one connection.
-func (c *Client) dial(ctx context.Context, want byte) (*clientConn, error) {
+// dial establishes one connection and runs the hello preface on it.
+func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 	c.met.dials.Inc()
 	dctx, cancel := context.WithTimeout(ctx, c.cfg.DialTimeout)
 	defer cancel()
-	var raw net.Conn
+	var conn net.Conn
 	var err error
 	if c.cfg.Dialer != nil {
-		raw, err = c.cfg.Dialer(dctx, "tcp", c.cfg.Addr)
+		conn, err = c.cfg.Dialer(dctx, "tcp", c.cfg.Addr)
 	} else {
 		var d net.Dialer
-		raw, err = d.DialContext(dctx, "tcp", c.cfg.Addr)
+		conn, err = d.DialContext(dctx, "tcp", c.cfg.Addr)
 	}
 	if err != nil {
 		return nil, err
 	}
-	conn := &clientConn{Conn: raw, ver: ProtoVersion}
-	if want > ProtoVersion {
-		if err := c.negotiate(ctx, conn, want); err != nil {
-			conn.Close()
-			return nil, err
-		}
+	if err := c.hello(ctx, conn); err != nil {
+		conn.Close()
+		return nil, err
 	}
-	c.mu.Lock()
-	c.peerVer = conn.ver
-	c.mu.Unlock()
 	return conn, nil
 }
 
-// getConn checks out a classic (non-multiplexed) connection: a pooled
-// idle one, or a fresh dial bounded by the MaxConns semaphore. Classic
-// connections never negotiate above v2 — asking for v3 would switch
-// the daemon side into multiplexed framing.
-func (c *Client) getConn(ctx context.Context) (*clientConn, error) {
-	if err := c.acquireToken(ctx); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.releaseToken()
-		return nil, fmt.Errorf("rpc: client for %s is closed", c.cfg.Addr)
-	}
-	if n := len(c.idle); n > 0 {
-		conn := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		conn.tokened = true
-		return conn, nil
-	}
-	c.mu.Unlock()
-	want := byte(c.cfg.ProtoVersion)
-	if want > ProtoVersion2 {
-		want = ProtoVersion2
-	}
-	conn, err := c.dial(ctx, want)
-	if err != nil {
-		c.releaseToken()
-		return nil, err
-	}
-	conn.tokened = true
-	return conn, nil
-}
-
-// negotiate runs the MsgHello exchange on a fresh connection. The
-// Hello itself travels v1-framed so a daemon that predates negotiation
-// parses it; such a daemon answers with MsgError (bad request), which
-// the client reads as "speak v1". A transport failure fails the dial —
-// the caller's retry loop handles it like any connection error.
-func (c *Client) negotiate(ctx context.Context, conn *clientConn, want byte) error {
-	var offer uint64
-	if c.cfg.Trace {
-		offer = FeatureTrace
-	}
-	if c.cfg.Placement {
-		offer |= FeaturePlacement
-	}
-	if c.cfg.Tenant != "" {
-		offer |= FeatureTenant
-	}
-	req := AppendHelloTenant(getFrameBuf(8), want, offer, c.cfg.Tenant)
+// hello opens a fresh connection with the preface — this build's
+// protocol version and the client's tenant — and waits for the
+// server's verdict. A transport failure fails the dial, and the
+// caller's retry loop handles it like any connection error; a refusal
+// (a daemon of another protocol generation) is a RemoteError and final.
+func (c *Client) hello(ctx context.Context, conn net.Conn) error {
+	req := AppendHello(getFrameBuf(32), MaxProtoVersion, c.cfg.Tenant)
 	defer putFrameBuf(req)
 	if err := conn.SetWriteDeadline(deadline(ctx, c.cfg.WriteTimeout)); err != nil {
 		return err
 	}
-	if err := WriteFrame(conn, req); err != nil {
+	if _, err := writeFrame(conn, MaxProtoVersion, &frameHdr{}, req); err != nil {
 		return err
 	}
 	if err := conn.SetReadDeadline(deadline(ctx, c.cfg.ReadTimeout)); err != nil {
@@ -531,92 +392,11 @@ func (c *Client) negotiate(ctx context.Context, conn *clientConn, want byte) err
 	if err != nil {
 		return err
 	}
-	switch msgType {
-	case MsgHelloResp:
-		agreed, granted, err := DecodeHelloRespFeatures(payload)
-		if err != nil {
-			return err
-		}
-		if agreed < ProtoVersion {
-			agreed = ProtoVersion
-		}
-		if agreed > want {
-			agreed = want
-		}
-		conn.ver = agreed
-		conn.features = granted & offer
-	case MsgError:
-		// Pre-negotiation daemon: it answered the unknown message with
-		// a bad-request error. Speak v1 on this connection.
-		conn.ver = ProtoVersion
-	default:
-		return fmt.Errorf("%w: hello response type %#x", ErrCorrupt, msgType)
+	if _, err := parseResp(respFrame{msgType: msgType, payload: payload}, MsgOK); err != nil {
+		return err
 	}
-	return nil
-}
-
-func (c *Client) putConn(conn *clientConn) {
-	if conn.tokened {
-		conn.tokened = false
-		c.releaseToken()
-	}
-	c.mu.Lock()
-	if !c.closed && len(c.idle) < c.cfg.PoolSize {
-		c.idle = append(c.idle, conn)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
-// discardConn drops a failed connection, returning its token.
-func (c *Client) discardConn(conn *clientConn) {
-	if conn.tokened {
-		conn.tokened = false
-		c.releaseToken()
-	}
-	conn.Close()
-}
-
-// useMux reports whether calls should try the multiplexed path: the
-// client is configured for v3 and the peer has not negotiated below it.
-func (c *Client) useMux() bool {
-	if c.cfg.ProtoVersion < ProtoVersion3 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.peerVer == 0 || c.peerVer >= ProtoVersion3
-}
-
-// getMux returns the live multiplexed connection, dialing one if
-// needed. A peer that negotiates below v3 yields errNoMux and the
-// fresh connection is pooled for the classic path instead.
-func (c *Client) getMux(ctx context.Context) (*muxConn, error) {
-	c.muxMu.Lock()
-	defer c.muxMu.Unlock()
-	if c.mux != nil && c.mux.alive() {
-		return c.mux, nil
-	}
-	c.mux = nil
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("rpc: client for %s is closed", c.cfg.Addr)
-	}
-	c.mu.Unlock()
-	conn, err := c.dial(ctx, byte(c.cfg.ProtoVersion))
-	if err != nil {
-		return nil, err
-	}
-	if conn.ver < ProtoVersion3 {
-		c.putConn(conn)
-		return nil, errNoMux
-	}
-	m := newMuxConn(conn, &c.cfg)
-	c.mux = m
-	return m, nil
+	// The mux reader enforces ReadTimeout per stream, not on the socket.
+	return conn.SetReadDeadline(time.Time{})
 }
 
 // backoff returns the pause before retry attempt (1-based): equal
@@ -647,107 +427,12 @@ func deadline(ctx context.Context, d time.Duration) time.Time {
 	return t
 }
 
-// roundTrip performs one framed exchange on one classic connection,
-// framing the request at the connection's negotiated protocol version.
-// The response body is pooled; the caller releases it.
-func (c *Client) roundTrip(ctx context.Context, conn *clientConn, req []byte) ([]byte, error) {
-	if err := conn.SetWriteDeadline(deadline(ctx, c.cfg.WriteTimeout)); err != nil {
-		return nil, err
-	}
-	if err := WriteFrameV(conn, req, conn.ver); err != nil {
-		return nil, err
-	}
-	c.met.sentBytes.Add(int64(len(req) + 4))
-	if err := conn.SetReadDeadline(deadline(ctx, c.cfg.ReadTimeout)); err != nil {
-		return nil, err
-	}
-	body, err := ReadFrame(conn, c.cfg.MaxFrame)
-	if err != nil {
-		return nil, err
-	}
-	c.met.recvBytes.Add(int64(len(body) + 4))
-	return body, nil
-}
-
-// traceSpan returns the context's span when this request should travel
-// in a traced envelope: tracing is on, the peer granted FeatureTrace,
-// and the context carries a traced span. MsgSpans never nests — the
-// drain RPC is bookkeeping about a trace, not part of it.
-func (c *Client) traceSpan(ctx context.Context, reqType byte, features uint64) *obs.Span {
-	if !c.cfg.Trace || features&FeatureTrace == 0 || reqType == MsgSpans {
-		return nil
-	}
-	if sp := obs.SpanFromContext(ctx); sp.TraceID() != 0 {
-		return sp
-	}
-	return nil
-}
-
-// unwrapTraced peels a MsgTracedResp envelope, attaching the server's
-// span records to sp; plain responses pass through untouched.
-func unwrapTraced(sp *obs.Span, f respFrame) (respFrame, error) {
-	if f.msgType != MsgTracedResp {
-		return f, nil
-	}
-	recs, innerType, inner, err := DecodeTracedResp(f.payload)
-	if err != nil {
-		putFrameBuf(f.body)
-		return respFrame{}, err
-	}
-	sp.Attach(recs)
-	return respFrame{body: f.body, msgType: innerType, payload: inner}, nil
-}
-
-// attempt performs one unary exchange, over the multiplexed connection
-// when the peer speaks v3 and the classic pool otherwise.
-func (c *Client) attempt(ctx context.Context, reqType byte, req []byte) (respFrame, error) {
-	if c.useMux() {
-		m, err := c.getMux(ctx)
-		if err == nil {
-			return c.muxExchange(ctx, m, reqType, req)
-		}
-		if err != errNoMux {
-			return respFrame{}, err
-		}
-		// The peer negotiated down: fall through to the classic path.
-	}
-	conn, err := c.getConn(ctx)
-	if err != nil {
-		return respFrame{}, err
-	}
-	sp := c.traceSpan(ctx, reqType, conn.features)
-	wire := req
-	if sp != nil {
-		// Wrap the encoded request in a MsgTraced envelope. The classic
-		// path copies (the mux path splices vectored); it is the cold
-		// fallback, simplicity wins.
-		wire = AppendTracedHdr(getFrameBuf(32+len(req)), sp.TraceID(), sp.SpanID())
-		wire = append(wire, reqType)
-		wire = append(wire, req[2:]...)
-	}
-	body, err := c.roundTrip(ctx, conn, wire)
-	if sp != nil {
-		putFrameBuf(wire)
-	}
-	if err != nil {
-		c.discardConn(conn)
-		return respFrame{}, err
-	}
-	c.putConn(conn)
-	msgType, payload, err := ParseFrame(body)
-	if err != nil {
-		putFrameBuf(body)
-		return respFrame{}, err
-	}
-	return unwrapTraced(sp, respFrame{body: body, msgType: msgType, payload: payload})
-}
-
 // ping is one unretried Ping exchange, used directly by Ping and as
 // the breaker's half-open probe.
 func (c *Client) ping(ctx context.Context) error {
 	req := AppendPing(getFrameBuf(8))
 	defer putFrameBuf(req)
-	f, err := c.attempt(ctx, MsgPing, req)
+	f, err := c.muxExchange(ctx, req)
 	if err != nil {
 		return err
 	}
@@ -948,14 +633,14 @@ func (c *Client) runInner(ctx context.Context, reqType byte, op func(context.Con
 		MsgName(reqType), c.cfg.Addr, c.cfg.MaxRetries+1, lastErr)
 }
 
-// call sends an encoded request frame body and returns the parsed
+// call sends an encoded request message and returns the parsed
 // response (pooled — release its body with ReleaseFrame). Transport
 // errors are retried with exponential backoff; ctx cancellation aborts
 // the retry loop (and its backoff sleeps) immediately.
-func (c *Client) call(ctx context.Context, reqType byte, req []byte) (respFrame, error) {
+func (c *Client) call(ctx context.Context, req ...[]byte) (respFrame, error) {
 	var resp respFrame
-	err := c.run(ctx, reqType, func(ctx context.Context) error {
-		f, err := c.attempt(ctx, reqType, req)
+	err := c.run(ctx, req[0][0], func(ctx context.Context) error {
+		f, err := c.muxExchange(ctx, req...)
 		if err != nil {
 			return err
 		}
@@ -996,11 +681,11 @@ func parseResp(f respFrame, want byte) ([]byte, error) {
 	return f.payload, nil
 }
 
-// exchange is call + parse + release for requests with empty OK
-// responses.
-func (c *Client) exchange(ctx context.Context, reqType byte, req []byte) error {
-	f, err := c.call(ctx, reqType, req)
-	putFrameBuf(req)
+// exchange is call + parse + release (of the encoded first part) for
+// requests with empty OK responses.
+func (c *Client) exchange(ctx context.Context, req ...[]byte) error {
+	f, err := c.call(ctx, req...)
+	putFrameBuf(req[0])
 	if err != nil {
 		return err
 	}
@@ -1011,12 +696,12 @@ func (c *Client) exchange(ctx context.Context, reqType byte, req []byte) error {
 
 // CreateFile opens the request's subfile stores on the node.
 func (c *Client) CreateFile(ctx context.Context, req *CreateFileReq) error {
-	return c.exchange(ctx, MsgCreateFile, AppendCreateFile(getFrameBuf(64), req))
+	return c.exchange(ctx, AppendCreateFile(getFrameBuf(64), req))
 }
 
 // SetView registers an encoded projection under its fingerprint.
 func (c *Client) SetView(ctx context.Context, fp uint64, proj []byte) error {
-	err := c.exchange(ctx, MsgSetView, AppendSetView(getFrameBuf(64), &SetViewReq{Fingerprint: fp, Proj: proj}))
+	err := c.exchange(ctx, AppendSetView(getFrameBuf(64), &SetViewReq{Fingerprint: fp, Proj: proj}))
 	if err == nil {
 		c.registered.Store(fp, struct{}{})
 	}
@@ -1034,41 +719,29 @@ func (c *Client) Registered(fp uint64) bool {
 // when the node reports it unknown, e.g. after a daemon restart).
 func (c *Client) Forget(fp uint64) { c.registered.Delete(fp) }
 
-// shouldStream reports whether a payload of n bytes should travel as a
-// chunked v3 stream.
-func (c *Client) shouldStream(n int) bool {
-	return c.cfg.StreamThreshold > 0 && n >= c.cfg.StreamThreshold && c.useMux()
-}
-
 // WriteSegments performs a scatter (nonzero fingerprint) or contiguous
-// (zero fingerprint) write. Payloads at or above StreamThreshold
-// travel as a chunked stream on v3 connections, overlapping
-// transmission with the server-side scatter.
+// (zero fingerprint) write. A payload larger than one chunk travels as
+// a chunked stream, overlapping transmission with the server-side
+// scatter.
 func (c *Client) WriteSegments(ctx context.Context, req *WriteSegsReq) error {
-	if c.shouldStream(len(req.Data)) {
-		err, streamed := c.writeStreamed(ctx, req)
-		if streamed {
-			return err
-		}
+	if len(req.Data) > c.cfg.ChunkSize {
+		return c.writeStreamed(ctx, req)
 	}
-	return c.exchange(ctx, MsgWriteSegs, AppendWriteSegs(getFrameBuf(64+len(req.Data)), req))
+	return c.exchange(ctx, appendWriteSegsHead(getFrameBuf(64), req), req.Data)
 }
 
 // ReadSegments performs a gather (nonzero fingerprint) or contiguous
-// (zero fingerprint) read of len(dst) bytes into dst. Reads at or
-// above StreamThreshold travel as a chunked stream on v3 connections.
+// (zero fingerprint) read of len(dst) bytes into dst. A read larger
+// than one chunk travels as a chunked stream.
 func (c *Client) ReadSegments(ctx context.Context, req *ReadSegsReq, dst []byte) error {
 	if req.N != int64(len(dst)) {
 		return fmt.Errorf("rpc: read of %d bytes into %d-byte buffer", req.N, len(dst))
 	}
-	if c.shouldStream(len(dst)) {
-		err, streamed := c.readStreamed(ctx, req, dst)
-		if streamed {
-			return err
-		}
+	if len(dst) > c.cfg.ChunkSize {
+		return c.readStreamed(ctx, req, dst)
 	}
 	reqBuf := AppendReadSegs(getFrameBuf(64), req)
-	f, err := c.call(ctx, MsgReadSegs, reqBuf)
+	f, err := c.call(ctx, reqBuf)
 	putFrameBuf(reqBuf)
 	if err != nil {
 		return err
@@ -1092,7 +765,7 @@ func (c *Client) ReadSegments(ctx context.Context, req *ReadSegsReq, dst []byte)
 // Stat returns the subfile's current length.
 func (c *Client) Stat(ctx context.Context, file string, subfile int64) (int64, error) {
 	reqBuf := AppendStat(getFrameBuf(64), &StatReq{File: file, Subfile: subfile})
-	f, err := c.call(ctx, MsgStat, reqBuf)
+	f, err := c.call(ctx, reqBuf)
 	putFrameBuf(reqBuf)
 	if err != nil {
 		return 0, err
@@ -1109,7 +782,7 @@ func (c *Client) Stat(ctx context.Context, file string, subfile int64) (int64, e
 // beyond the subfile's length count as zeroes.
 func (c *Client) Checksum(ctx context.Context, file string, subfile, off, n int64) (uint32, error) {
 	reqBuf := AppendChecksum(getFrameBuf(64), &ChecksumReq{File: file, Subfile: subfile, Off: off, N: n})
-	f, err := c.call(ctx, MsgChecksum, reqBuf)
+	f, err := c.call(ctx, reqBuf)
 	putFrameBuf(reqBuf)
 	if err != nil {
 		return 0, err
@@ -1124,7 +797,7 @@ func (c *Client) Checksum(ctx context.Context, file string, subfile, off, n int6
 
 // CloseFile syncs and closes the file's stores on the node.
 func (c *Client) CloseFile(ctx context.Context, file string) error {
-	return c.exchange(ctx, MsgClose, AppendClose(getFrameBuf(64), &CloseReq{File: file}))
+	return c.exchange(ctx, AppendClose(getFrameBuf(64), &CloseReq{File: file}))
 }
 
 // RemoveStore closes the file's stores on the node and deletes their
@@ -1132,7 +805,7 @@ func (c *Client) CloseFile(ctx context.Context, file string) error {
 // GC of a superseded store generation. Unknown files answer OK, so
 // the sweep is idempotent across retries and half-done passes.
 func (c *Client) RemoveStore(ctx context.Context, file string) error {
-	return c.exchange(ctx, MsgClose, AppendClose(getFrameBuf(64), &CloseReq{File: file, Remove: true}))
+	return c.exchange(ctx, AppendClose(getFrameBuf(64), &CloseReq{File: file, Remove: true}))
 }
 
 // SetEpoch ratchets the placement epoch of the file's stores on the
@@ -1141,5 +814,5 @@ func (c *Client) RemoveStore(ctx context.Context, file string) error {
 // holding no store of the file answers OK: the flip is idempotent
 // across the fan-out.
 func (c *Client) SetEpoch(ctx context.Context, file string, epoch uint64, fence bool) error {
-	return c.exchange(ctx, MsgEpoch, AppendEpoch(getFrameBuf(64), &EpochReq{File: file, Epoch: epoch, Fence: fence}))
+	return c.exchange(ctx, AppendEpoch(getFrameBuf(64), &EpochReq{File: file, Epoch: epoch, Fence: fence}))
 }

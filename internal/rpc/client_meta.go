@@ -4,14 +4,14 @@ import "context"
 
 // client_meta.go is the metadata-service half of the client: the
 // MsgMeta* calls parafilemd answers. The metadata daemon speaks the
-// same framing, negotiation and error protocol as the data daemons, so
-// the calls ride the shared retry/breaker/mux machinery — a Client
+// same framing, connection loop and error protocol as the data
+// daemons, so the calls ride the shared retry/breaker/mux machinery — a Client
 // pointed at a parafilemd address just uses these methods instead of
 // the storage ones.
 
 // metaFileCall is one request returning a MsgMetaFileResp.
-func (c *Client) metaFileCall(ctx context.Context, reqType byte, req []byte) (*MetaFile, error) {
-	f, err := c.call(ctx, reqType, req)
+func (c *Client) metaFileCall(ctx context.Context, req []byte) (*MetaFile, error) {
+	f, err := c.call(ctx, req)
 	putFrameBuf(req)
 	if err != nil {
 		return nil, err
@@ -27,19 +27,19 @@ func (c *Client) metaFileCall(ctx context.Context, reqType byte, req []byte) (*M
 // MetaCreate creates a namespace entry; the service computes the
 // initial placement over its active nodes and returns the full record.
 func (c *Client) MetaCreate(ctx context.Context, req *MetaCreateReq) (*MetaFile, error) {
-	return c.metaFileCall(ctx, MsgMetaCreate, AppendMetaCreate(getFrameBuf(64), req))
+	return c.metaFileCall(ctx, AppendMetaCreate(getFrameBuf(64), req))
 }
 
 // MetaOpen fetches the record of one file by name — the placement map
 // clients cache and refetch on ErrStalePlacement.
 func (c *Client) MetaOpen(ctx context.Context, name string) (*MetaFile, error) {
-	return c.metaFileCall(ctx, MsgMetaOpen, AppendMetaName(getFrameBuf(64), MsgMetaOpen, name))
+	return c.metaFileCall(ctx, AppendMetaName(getFrameBuf(64), MsgMetaOpen, name))
 }
 
 // MetaList returns every namespace entry, name-sorted.
 func (c *Client) MetaList(ctx context.Context) ([]*MetaFile, error) {
 	req := AppendMetaEmpty(getFrameBuf(8), MsgMetaList)
-	f, err := c.call(ctx, MsgMetaList, req)
+	f, err := c.call(ctx, req)
 	putFrameBuf(req)
 	if err != nil {
 		return nil, err
@@ -55,7 +55,7 @@ func (c *Client) MetaList(ctx context.Context) ([]*MetaFile, error) {
 // MetaRemove deletes a namespace entry. The daemon-side stores are the
 // caller's to reap; the service only forgets the name.
 func (c *Client) MetaRemove(ctx context.Context, name string) error {
-	return c.exchange(ctx, MsgMetaRemove, AppendMetaName(getFrameBuf(64), MsgMetaRemove, name))
+	return c.exchange(ctx, AppendMetaName(getFrameBuf(64), MsgMetaRemove, name))
 }
 
 // MetaCommit performs the compare-and-swap placement flip after a
@@ -63,19 +63,19 @@ func (c *Client) MetaRemove(ctx context.Context, name string) error {
 // file that moved past OldEpoch answers ErrStalePlacement and nothing
 // changes.
 func (c *Client) MetaCommit(ctx context.Context, req *MetaCommitReq) (*MetaFile, error) {
-	return c.metaFileCall(ctx, MsgMetaCommit, AppendMetaCommit(getFrameBuf(128), req))
+	return c.metaFileCall(ctx, AppendMetaCommit(getFrameBuf(128), req))
 }
 
 // MetaExtend ratchets the file's logical length (shrinks are ignored)
 // and returns the current record.
 func (c *Client) MetaExtend(ctx context.Context, name string, length int64) (*MetaFile, error) {
-	return c.metaFileCall(ctx, MsgMetaExtend, AppendMetaExtend(getFrameBuf(64), &MetaExtendReq{Name: name, Length: length}))
+	return c.metaFileCall(ctx, AppendMetaExtend(getFrameBuf(64), &MetaExtendReq{Name: name, Length: length}))
 }
 
 // MetaNodes returns the cluster membership table.
 func (c *Client) MetaNodes(ctx context.Context) ([]MetaNode, error) {
 	req := AppendMetaEmpty(getFrameBuf(8), MsgMetaNodes)
-	f, err := c.call(ctx, MsgMetaNodes, req)
+	f, err := c.call(ctx, req)
 	putFrameBuf(req)
 	if err != nil {
 		return nil, err
@@ -91,7 +91,7 @@ func (c *Client) MetaNodes(ctx context.Context) ([]MetaNode, error) {
 // MetaVote asks a peer for its ballot in a leader election round.
 func (c *Client) MetaVote(ctx context.Context, req *MetaVoteReq) (*MetaVoteResp, error) {
 	body := AppendMetaVote(getFrameBuf(64), req)
-	f, err := c.call(ctx, MsgMetaVote, body)
+	f, err := c.call(ctx, body)
 	putFrameBuf(body)
 	if err != nil {
 		return nil, err
@@ -109,7 +109,7 @@ func (c *Client) MetaVote(ctx context.Context, req *MetaVoteReq) (*MetaVoteResp,
 // or below its log tail, so the shared retry machinery applies.
 func (c *Client) MetaAppendEntries(ctx context.Context, req *MetaAppendReq) (*MetaAppendResp, error) {
 	body := AppendMetaAppend(getFrameBuf(256), req)
-	f, err := c.call(ctx, MsgMetaAppend, body)
+	f, err := c.call(ctx, body)
 	putFrameBuf(body)
 	if err != nil {
 		return nil, err
@@ -126,7 +126,7 @@ func (c *Client) MetaAppendEntries(ctx context.Context, req *MetaAppendReq) (*Me
 // diverged follower, which installs it atomically.
 func (c *Client) MetaSnapInstall(ctx context.Context, req *MetaSnapInstallReq) (*MetaAppendResp, error) {
 	body := AppendMetaSnapInstall(getFrameBuf(1024), req)
-	f, err := c.call(ctx, MsgMetaSnapInstall, body)
+	f, err := c.call(ctx, body)
 	putFrameBuf(body)
 	if err != nil {
 		return nil, err
@@ -142,7 +142,7 @@ func (c *Client) MetaSnapInstall(ctx context.Context, req *MetaSnapInstallReq) (
 // MetaStatus asks a metadata node for its replication status.
 func (c *Client) MetaStatus(ctx context.Context) (*MetaStatusInfo, error) {
 	body := AppendMetaStatus(getFrameBuf(8))
-	f, err := c.call(ctx, MsgMetaStatus, body)
+	f, err := c.call(ctx, body)
 	putFrameBuf(body)
 	if err != nil {
 		return nil, err
@@ -159,7 +159,7 @@ func (c *Client) MetaStatus(ctx context.Context) (*MetaStatusInfo, error) {
 // returns the updated table.
 func (c *Client) MetaNodeSet(ctx context.Context, addr string, state byte) ([]MetaNode, error) {
 	req := AppendMetaNodeReq(getFrameBuf(64), &MetaNode{Addr: addr, State: state})
-	f, err := c.call(ctx, MsgMetaNode, req)
+	f, err := c.call(ctx, req)
 	putFrameBuf(req)
 	if err != nil {
 		return nil, err

@@ -13,6 +13,7 @@ import (
 	"parafile/internal/falls"
 	"parafile/internal/obs"
 	"parafile/internal/part"
+	"parafile/internal/redist"
 )
 
 // client_test.go exercises the failure half of the client: connection
@@ -221,9 +222,18 @@ func TestServerRejectsGarbageFrames(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// A frame with a wrong protocol version: the server answers with a
-	// bad-request error instead of dropping the connection or panicking.
-	if err := WriteFrame(conn, []byte{ProtoVersion + 1, MsgStat}); err != nil {
+	// After the preface, a message of an unknown type: the server
+	// answers on the request's stream with a bad-request error instead
+	// of dropping the connection or panicking.
+	if err := WriteFrameV(conn, AppendHello(nil, MaxProtoVersion, ""), MaxProtoVersion); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ReleaseFrame(ok)
+	if _, err := writeFrame(conn, MaxProtoVersion, &frameHdr{sid: 9}, []byte{0x7E, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	body, err := ReadFrame(conn, 0)
@@ -231,9 +241,12 @@ func TestServerRejectsGarbageFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ReleaseFrame(body)
-	msgType, payload, err := ParseFrame(body)
+	h, msgType, payload, err := parseFrame(body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if h.sid != 9 {
+		t.Fatalf("reply on stream %d, want 9", h.sid)
 	}
 	if msgType != MsgError {
 		t.Fatalf("response type %#x, want error", msgType)
@@ -244,6 +257,66 @@ func TestServerRejectsGarbageFrames(t *testing.T) {
 	}
 	if re.Code != ErrCodeBadRequest {
 		t.Fatalf("code %d, want bad request", re.Code)
+	}
+}
+
+// TestUnaryWriteSizeMismatchRefused: a single-frame write whose payload
+// is not what its window selects is refused up front with a
+// bad-request answer, exactly like a streamed one — a short payload
+// must not scatter a prefix before failing (a torn write from a bad
+// request), an over-long one must not be silently truncated.
+func TestUnaryWriteSizeMismatchRefused(t *testing.T) {
+	addr, _ := startServer(t, ServerConfig{})
+	c := NewClient(ClientConfig{Addr: addr})
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	// Bytes [0,3] and [8,11] of every 16: the window [0,31] selects 16.
+	enc := redist.EncodeProjection(&redist.Projection{
+		Set: falls.Set{falls.MustLeaf(0, 3, 8, 2)}, Period: 16, Bytes: 8,
+	})
+	fp := Fingerprint(enc)
+	if err := c.SetView(ctx, fp, enc); err != nil {
+		t.Fatal(err)
+	}
+	write := func(fp uint64, n int, fill byte) error {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = fill
+		}
+		return c.WriteSegments(ctx, &WriteSegsReq{File: "f", Subfile: 0, Fingerprint: fp, Lo: 0, Hi: 31, Data: data})
+	}
+	snapshot := func() []byte {
+		got := make([]byte, 32)
+		if err := c.ReadSegments(ctx, &ReadSegsReq{File: "f", Subfile: 0, Lo: 0, Hi: 31, N: 32}, got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if err := write(fp, 16, 'A'); err != nil {
+		t.Fatalf("well-formed projected write: %v", err)
+	}
+	before := snapshot()
+	for _, tc := range []struct {
+		name string
+		fp   uint64
+		n    int
+	}{
+		{"short projected", fp, 10},
+		{"long projected", fp, 20},
+		{"short contiguous", 0, 31},
+		{"long contiguous", 0, 33},
+	} {
+		err := write(tc.fp, tc.n, 'Z')
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != ErrCodeBadRequest {
+			t.Fatalf("%s write of %d bytes: %v, want a bad-request RemoteError", tc.name, tc.n, err)
+		}
+		if got := snapshot(); string(got) != string(before) {
+			t.Fatalf("%s write changed the subfile:\n before %q\n after  %q", tc.name, before, got)
+		}
 	}
 }
 

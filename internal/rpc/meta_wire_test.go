@@ -131,7 +131,7 @@ func TestMetaMessageRoundTrips(t *testing.T) {
 			case *EpochReq:
 				tc.enc = AppendEpoch(nil, w)
 			}
-			typ, payload, err := ParseFrame(tc.enc)
+			typ, payload, err := ParseFrame(frameBody(frameHdr{}, tc.enc))
 			if err != nil {
 				t.Fatalf("%s: ParseFrame: %v", tc.name, err)
 			}
@@ -160,7 +160,7 @@ func TestMetaRespRoundTrips(t *testing.T) {
 
 	// File resp.
 	body := AppendMetaFileResp(nil, files[0])
-	typ, payload, err := ParseFrame(body)
+	typ, payload, err := ParseFrame(frameBody(frameHdr{}, body))
 	if err != nil || typ != MsgMetaFileResp {
 		t.Fatalf("file resp frame: %#x, %v", typ, err)
 	}
@@ -172,7 +172,7 @@ func TestMetaRespRoundTrips(t *testing.T) {
 	// List resp, including empty.
 	for _, set := range [][]*MetaFile{files, nil} {
 		body = AppendMetaListResp(nil, set)
-		typ, payload, err = ParseFrame(body)
+		typ, payload, err = ParseFrame(frameBody(frameHdr{}, body))
 		if err != nil || typ != MsgMetaListResp {
 			t.Fatalf("list resp frame: %#x, %v", typ, err)
 		}
@@ -190,7 +190,7 @@ func TestMetaRespRoundTrips(t *testing.T) {
 	// Nodes resp.
 	nodes := []MetaNode{{Addr: "a:1", State: NodeActive}, {Addr: "b:2", State: NodeDraining}}
 	body = AppendMetaNodesResp(nil, nodes)
-	typ, payload, err = ParseFrame(body)
+	typ, payload, err = ParseFrame(frameBody(frameHdr{}, body))
 	if err != nil || typ != MsgMetaNodesResp {
 		t.Fatalf("nodes resp frame: %#x, %v", typ, err)
 	}
@@ -223,7 +223,7 @@ func startTestDaemon(t *testing.T, reg *obs.Registry) string {
 // ratchet+unfence turns old-epoch requests stale.
 func TestServerEpochFence(t *testing.T) {
 	addr := startTestDaemon(t, obs.NewRegistry())
-	c := NewClient(ClientConfig{Addr: addr, Placement: true})
+	c := NewClient(ClientConfig{Addr: addr})
 	defer c.Close()
 	ctx := context.Background()
 

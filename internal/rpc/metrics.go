@@ -34,12 +34,8 @@ const (
 	// shed answer with a RetryAfter hint, data-plane attempts inside the
 	// hinted window are shed client-side without shipping the payload.
 	MetricClientPaced = "parafile_rpc_client_paced_total"
-	// MetricClientConnWaitNs records time spent waiting for a
-	// connection token when the per-node dial semaphore is saturated
-	// (classic, non-multiplexed path only; zero waits never observe).
-	MetricClientConnWaitNs = "parafile_rpc_conn_wait_ns"
-	// Streaming (proto v3): operations that traveled chunked instead of
-	// as one monolithic frame, and the chunk frames moved each way.
+	// Streaming: operations that traveled chunked instead of as one
+	// frame, and the chunk frames moved each way.
 	MetricClientStreamedOps = "parafile_rpc_client_streamed_ops_total"
 	MetricClientChunks      = "parafile_rpc_client_chunks_total"
 
@@ -53,7 +49,7 @@ const (
 	MetricServerErrors    = "parafile_rpc_server_errors_total"
 	MetricServerConns     = "parafile_rpc_server_connections"
 	MetricServerFiles     = "parafile_rpc_server_open_files"
-	// Streaming (proto v3), mirrored server-side.
+	// Streaming, mirrored server-side.
 	MetricServerStreams = "parafile_rpc_server_streams_total"
 	MetricServerChunks  = "parafile_rpc_server_chunks_total"
 	// MetricPoolDiscards is the shared buffer-pool discard series:
@@ -77,7 +73,7 @@ const (
 )
 
 // reqTypes are the request message types with per-type volume series.
-var reqTypes = []byte{MsgCreateFile, MsgSetView, MsgWriteSegs, MsgReadSegs, MsgStat, MsgClose, MsgPing, MsgHello, MsgChecksum, MsgWriteStream, MsgReadStream, MsgTraced, MsgSpans, MsgEpoch, MsgMetaCreate, MsgMetaOpen, MsgMetaList, MsgMetaRemove, MsgMetaCommit, MsgMetaExtend, MsgMetaNodes, MsgMetaNode}
+var reqTypes = []byte{MsgCreateFile, MsgSetView, MsgWriteSegs, MsgReadSegs, MsgStat, MsgClose, MsgPing, MsgChecksum, MsgWriteStream, MsgReadStream, MsgSpans, MsgEpoch, MsgMetaCreate, MsgMetaOpen, MsgMetaList, MsgMetaRemove, MsgMetaCommit, MsgMetaExtend, MsgMetaNodes, MsgMetaNode}
 
 func bindPerType(reg *obs.Registry, name string) map[byte]*obs.Counter {
 	m := make(map[byte]*obs.Counter, len(reqTypes))
@@ -99,7 +95,6 @@ type clientMetrics struct {
 	shed        *obs.Counter
 	paced       *obs.Counter
 	dials       *obs.Counter
-	connWaitNs  *obs.Histogram
 	streamedW   *obs.Counter
 	streamedR   *obs.Counter
 	chunksSent  *obs.Counter
@@ -123,7 +118,6 @@ func newClientMetrics(reg *obs.Registry) clientMetrics {
 		shed:        reg.Counter(MetricClientShed),
 		paced:       reg.Counter(MetricClientPaced),
 		dials:       reg.Counter(MetricClientDials),
-		connWaitNs:  reg.Histogram(MetricClientConnWaitNs, obs.LatencyBuckets()),
 		streamedW:   reg.Counter(MetricClientStreamedOps + `{dir="write"}`),
 		streamedR:   reg.Counter(MetricClientStreamedOps + `{dir="read"}`),
 		chunksSent:  reg.Counter(MetricClientChunks + `{dir="sent"}`),

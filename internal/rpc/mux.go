@@ -7,25 +7,23 @@ import (
 	"sync"
 	"time"
 
-	"parafile/internal/codec"
 	"parafile/internal/obs"
 )
 
-// mux.go is the client side of proto v3: one multiplexed connection
-// per node carrying every operation as a tagged stream. A single
-// reader goroutine demultiplexes incoming frames onto per-stream
-// channels; writers serialize whole frames under a mutex and send them
-// vectored (WriteFrameVec), so a chunk's data bytes go from the
-// caller's buffer to the socket without an assembly copy.
+// mux.go is the client's connection: one per node, carrying every
+// operation as a tagged stream. A single reader goroutine
+// demultiplexes incoming frames onto per-stream channels; writers
+// serialize whole frames under a mutex and send them vectored
+// (writeFrame), so a chunk's data bytes go from the caller's buffer to
+// the socket without an assembly copy.
 //
 // Failure model: any transport error on the connection — a write
 // error, a read error, a corrupt frame, a stream that timed out
 // waiting for its next frame — kills the whole muxConn. Every waiting
 // stream observes the death via the done channel, and the per-call
-// retry loop (client.run) dials a fresh muxConn. That is the same
-// drop-and-retry contract the classic pooled path has, widened to all
-// streams sharing the connection; it is safe for the same reason —
-// every request in the protocol is idempotent.
+// retry loop (client.run) dials a fresh muxConn. Drop-and-retry for
+// every stream sharing the connection is safe because every request in
+// the protocol is idempotent.
 
 // streamWindow bounds buffered frames per stream: the reader parks
 // once a stream is this far behind, which propagates TCP backpressure
@@ -54,13 +52,10 @@ type muxStream struct {
 	gone chan struct{}
 }
 
-// muxConn is one multiplexed v3 connection.
+// muxConn is one multiplexed connection.
 type muxConn struct {
 	conn net.Conn
-	ver  byte
 	cfg  *ClientConfig
-	// features is the daemon-granted feature bitmask from the Hello.
-	features uint64
 
 	// wmu serializes frame writes; each frame is written whole.
 	wmu sync.Mutex
@@ -72,14 +67,12 @@ type muxConn struct {
 	done    chan struct{}
 }
 
-func newMuxConn(conn *clientConn, cfg *ClientConfig) *muxConn {
+func newMuxConn(conn net.Conn, cfg *ClientConfig) *muxConn {
 	m := &muxConn{
-		conn:     conn.Conn,
-		ver:      conn.ver,
-		cfg:      cfg,
-		features: conn.features,
-		streams:  make(map[uint64]*muxStream),
-		done:     make(chan struct{}),
+		conn:    conn,
+		cfg:     cfg,
+		streams: make(map[uint64]*muxStream),
+		done:    make(chan struct{}),
 	}
 	go m.readLoop()
 	return m
@@ -150,30 +143,33 @@ func (m *muxConn) closeStream(st *muxStream) {
 	}
 }
 
-// send writes one frame, vectored, under the write lock. A transport
-// error kills the connection.
-func (m *muxConn) send(ctx context.Context, parts ...[]byte) error {
+// send writes one frame of stream st, vectored, under the write lock,
+// and returns the bytes put on the wire. sp, when non-nil, stamps the
+// caller's trace context into the frame header. A transport error
+// kills the connection.
+func (m *muxConn) send(ctx context.Context, st *muxStream, sp *obs.Span, parts ...[]byte) (int, error) {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	select {
 	case <-m.done:
-		return m.error()
+		return 0, m.error()
 	default:
 	}
-	if err := m.conn.SetWriteDeadline(deadline(ctx, m.cfg.WriteTimeout)); err != nil {
-		m.fail(err)
-		return err
+	err := m.conn.SetWriteDeadline(deadline(ctx, m.cfg.WriteTimeout))
+	var n int
+	if err == nil {
+		h := frameHdr{sid: st.id, trace: sp.TraceID(), span: sp.SpanID()}
+		n, err = writeFrame(m.conn, MaxProtoVersion, &h, parts...)
 	}
-	if err := WriteFrameVec(m.conn, m.ver, parts...); err != nil {
+	if err != nil {
 		m.fail(err)
-		return err
 	}
-	return nil
+	return n, err
 }
 
 // recv waits for the stream's next frame. ReadTimeout applies per
-// frame (as on the classic path); an expiry kills the connection so
-// the retry loop redials instead of inheriting a wedged stream.
+// frame; an expiry kills the connection so the retry loop redials
+// instead of inheriting a wedged stream.
 func (st *muxStream) recv(ctx context.Context, m *muxConn) (respFrame, error) {
 	timer := time.NewTimer(m.cfg.ReadTimeout)
 	defer timer.Stop()
@@ -201,26 +197,21 @@ func (m *muxConn) readLoop() {
 			m.fail(err)
 			return
 		}
-		msgType, rest, err := ParseFrame(body)
-		var sid uint64
-		var payload []byte
-		if err == nil {
-			sid, payload, err = splitStreamFrame(rest)
-		}
+		h, msgType, payload, err := parseFrame(body)
 		if err != nil {
 			putFrameBuf(body)
 			m.fail(err)
 			return
 		}
 		m.mu.Lock()
-		st := m.streams[sid]
+		st := m.streams[h.sid]
 		m.mu.Unlock()
 		if st == nil {
 			putFrameBuf(body)
 			continue
 		}
 		select {
-		case st.ch <- respFrame{body: body, msgType: msgType, payload: payload}:
+		case st.ch <- respFrame{body: body, msgType: msgType, payload: payload, spans: h.spans}:
 		case <-st.gone:
 			putFrameBuf(body)
 		case <-m.done:
@@ -230,40 +221,50 @@ func (m *muxConn) readLoop() {
 	}
 }
 
-// muxExchange is one unary request/response over the mux: the encoded
-// request's [ver][type] prefix is replaced by a v3 stream header and
-// the rest travels untouched (vectored, no re-encode). A traced call
-// grows the prefix into a MsgTraced envelope head — the inner request
-// bytes still travel straight from the caller's buffer, no copy.
-func (c *Client) muxExchange(ctx context.Context, m *muxConn, reqType byte, req []byte) (respFrame, error) {
+// traceSpan returns the context's span when this call should carry
+// trace context: tracing is on and the context holds a traced span.
+func (c *Client) traceSpan(ctx context.Context) *obs.Span {
+	if c.cfg.Trace {
+		if sp := obs.SpanFromContext(ctx); sp.TraceID() != 0 {
+			return sp
+		}
+	}
+	return nil
+}
+
+// muxExchange is one unary request/response over the node's
+// connection. req is the request message, possibly in parts: a write's
+// data travels from the caller's buffer behind the encoded head,
+// without a copy. A traced call's context goes in the frame header, and
+// the server spans riding back on the reply are attached to the
+// caller's span. MsgSpans itself is never traced — the drain is
+// bookkeeping about a trace, not part of it.
+func (c *Client) muxExchange(ctx context.Context, req ...[]byte) (respFrame, error) {
+	m, err := c.getMux(ctx)
+	if err != nil {
+		return respFrame{}, err
+	}
 	st, err := m.openStream()
 	if err != nil {
 		return respFrame{}, err
 	}
 	defer m.closeStream(st)
-	sp := c.traceSpan(ctx, reqType, m.features)
-	var prefix []byte
-	if sp != nil {
-		prefix = appendStreamHdr(getFrameBuf(48), MsgTraced, st.id)
-		prefix = codec.AppendUvarint(prefix, sp.TraceID())
-		prefix = codec.AppendUvarint(prefix, sp.SpanID())
-		prefix = append(prefix, reqType)
-	} else {
-		prefix = appendStreamHdr(getFrameBuf(16), reqType, st.id)
+	var sp *obs.Span
+	if req[0][0] != MsgSpans {
+		sp = c.traceSpan(ctx)
 	}
-	sent := len(prefix) + len(req) - 2
-	err = m.send(ctx, prefix, req[2:])
-	putFrameBuf(prefix)
+	sent, err := m.send(ctx, st, sp, req...)
 	if err != nil {
 		return respFrame{}, err
 	}
-	c.met.sentBytes.Add(int64(sent + 4))
+	c.met.sentBytes.Add(int64(sent))
 	f, err := st.recv(ctx, m)
 	if err != nil {
 		return respFrame{}, err
 	}
-	c.met.recvBytes.Add(int64(len(f.body) + 4))
-	return unwrapTraced(sp, f)
+	c.met.recvBytes.Add(int64(len(f.body) + 8))
+	sp.Attach(f.spans)
+	return f, nil
 }
 
 // abortStream tells the server to tear a write stream down without a
@@ -271,58 +272,45 @@ func (c *Client) muxExchange(ctx context.Context, m *muxConn, reqType byte, req 
 // failed abort already killed the connection, which tears down
 // server-side state just as finally.
 func (c *Client) abortStream(m *muxConn, st *muxStream) {
-	hdr := appendChunkHdr(getFrameBuf(16), MsgWriteChunk, st.id, flagChunkAbort)
-	m.send(context.Background(), hdr)
-	putFrameBuf(hdr)
+	m.send(context.Background(), st, nil, []byte{MsgWriteChunk, flagChunkAbort})
 }
 
-// writeStreamed sends req as a chunked v3 stream through the shared
-// retry machinery. streamed=false reports a peer below v3: nothing was
-// sent and the caller falls back to the monolithic frame.
-func (c *Client) writeStreamed(ctx context.Context, req *WriteSegsReq) (err error, streamed bool) {
-	streamed = true
-	err = c.run(ctx, MsgWriteStream, func(ctx context.Context) error {
-		m, merr := c.getMux(ctx)
-		if merr == errNoMux {
-			streamed = false
-			return nil
-		}
-		if merr != nil {
-			return merr
-		}
-		return c.writeStreamOnce(ctx, m, req)
+// writeStreamed sends req as a chunked stream through the shared retry
+// machinery.
+func (c *Client) writeStreamed(ctx context.Context, req *WriteSegsReq) error {
+	err := c.run(ctx, MsgWriteStream, func(ctx context.Context) error {
+		return c.writeStreamOnce(ctx, req)
 	})
-	if !streamed {
-		return nil, false
-	}
 	if err == nil {
 		c.met.streamedW.Inc()
 	}
-	return err, true
+	return err
 }
 
 // writeStreamOnce is one attempt: open the stream, ship the data as
 // bounded chunks, await the single server reply.
-func (c *Client) writeStreamOnce(ctx context.Context, m *muxConn, req *WriteSegsReq) error {
+func (c *Client) writeStreamOnce(ctx context.Context, req *WriteSegsReq) error {
+	m, err := c.getMux(ctx)
+	if err != nil {
+		return err
+	}
 	st, err := m.openStream()
 	if err != nil {
 		return err
 	}
 	defer m.closeStream(st)
-	sp := c.traceSpan(ctx, MsgWriteStream, m.features)
-	hdr := AppendWriteStream(getFrameBuf(64), st.id, &WriteStreamReq{
+	sp := c.traceSpan(ctx)
+	open := AppendWriteStream(getFrameBuf(64), &WriteStreamReq{
 		File:        req.File,
 		Subfile:     req.Subfile,
 		Fingerprint: req.Fingerprint,
 		Lo:          req.Lo,
 		Hi:          req.Hi,
 		Total:       int64(len(req.Data)),
-		TraceID:     sp.TraceID(),
-		SpanID:      sp.SpanID(),
 		Epoch:       req.Epoch,
 	})
-	err = m.send(ctx, hdr)
-	putFrameBuf(hdr)
+	_, err = m.send(ctx, st, sp, open)
+	putFrameBuf(open)
 	if err != nil {
 		return err
 	}
@@ -350,13 +338,11 @@ func (c *Client) writeStreamOnce(ctx context.Context, m *muxConn, req *WriteSegs
 		if last {
 			flags = flagChunkLast
 		}
-		chdr := appendChunkHdr(getFrameBuf(16), MsgWriteChunk, st.id, flags)
-		err := m.send(ctx, chdr, data[pos:end])
-		putFrameBuf(chdr)
+		sent, err := m.send(ctx, st, nil, []byte{MsgWriteChunk, flags}, data[pos:end])
 		if err != nil {
 			return err
 		}
-		c.met.sentBytes.Add(int64(end - pos + 4))
+		c.met.sentBytes.Add(int64(sent))
 		c.met.chunksSent.Inc()
 		pos = end
 		if last {
@@ -371,7 +357,7 @@ func (c *Client) writeStreamOnce(ctx context.Context, m *muxConn, req *WriteSegs
 	if _, err := parseResp(f, MsgOK); err != nil {
 		return err
 	}
-	c.drainSpans(ctx, m, sp)
+	c.drainSpans(ctx, sp)
 	return nil
 }
 
@@ -385,40 +371,32 @@ func earlyWriteReply(f respFrame) error {
 	return fmt.Errorf("%w: OK before write stream completed", ErrCorrupt)
 }
 
-// readStreamed fills dst from a chunked v3 read stream through the
-// shared retry machinery. streamed=false reports a peer below v3.
-func (c *Client) readStreamed(ctx context.Context, req *ReadSegsReq, dst []byte) (err error, streamed bool) {
-	streamed = true
-	err = c.run(ctx, MsgReadStream, func(ctx context.Context) error {
-		m, merr := c.getMux(ctx)
-		if merr == errNoMux {
-			streamed = false
-			return nil
-		}
-		if merr != nil {
-			return merr
-		}
-		return c.readStreamOnce(ctx, m, req, dst)
+// readStreamed fills dst from a chunked read stream through the shared
+// retry machinery.
+func (c *Client) readStreamed(ctx context.Context, req *ReadSegsReq, dst []byte) error {
+	err := c.run(ctx, MsgReadStream, func(ctx context.Context) error {
+		return c.readStreamOnce(ctx, req, dst)
 	})
-	if !streamed {
-		return nil, false
-	}
 	if err == nil {
 		c.met.streamedR.Inc()
 	}
-	return err, true
+	return err
 }
 
 // readStreamOnce is one attempt: open the stream and scatter arriving
 // chunks straight into dst as they land.
-func (c *Client) readStreamOnce(ctx context.Context, m *muxConn, req *ReadSegsReq, dst []byte) error {
+func (c *Client) readStreamOnce(ctx context.Context, req *ReadSegsReq, dst []byte) error {
+	m, err := c.getMux(ctx)
+	if err != nil {
+		return err
+	}
 	st, err := m.openStream()
 	if err != nil {
 		return err
 	}
 	defer m.closeStream(st)
-	sp := c.traceSpan(ctx, MsgReadStream, m.features)
-	hdr := AppendReadStream(getFrameBuf(64), st.id, &ReadStreamReq{
+	sp := c.traceSpan(ctx)
+	open := AppendReadStream(getFrameBuf(64), &ReadStreamReq{
 		File:        req.File,
 		Subfile:     req.Subfile,
 		Fingerprint: req.Fingerprint,
@@ -426,12 +404,10 @@ func (c *Client) readStreamOnce(ctx context.Context, m *muxConn, req *ReadSegsRe
 		Hi:          req.Hi,
 		N:           req.N,
 		ChunkSize:   int64(c.cfg.ChunkSize),
-		TraceID:     sp.TraceID(),
-		SpanID:      sp.SpanID(),
 		Epoch:       req.Epoch,
 	})
-	err = m.send(ctx, hdr)
-	putFrameBuf(hdr)
+	_, err = m.send(ctx, st, sp, open)
+	putFrameBuf(open)
 	if err != nil {
 		return err
 	}
@@ -457,7 +433,7 @@ func (c *Client) readStreamOnce(ctx context.Context, m *muxConn, req *ReadSegsRe
 			}
 			copy(dst[pos:], data)
 			pos += len(data)
-			c.met.recvBytes.Add(int64(len(data) + 4))
+			c.met.recvBytes.Add(int64(len(f.body) + 8))
 			c.met.chunksRecvd.Inc()
 			putFrameBuf(f.body)
 			if flags&flagChunkAbort != 0 {
@@ -471,7 +447,7 @@ func (c *Client) readStreamOnce(ctx context.Context, m *muxConn, req *ReadSegsRe
 					m.fail(err)
 					return err
 				}
-				c.drainSpans(ctx, m, sp)
+				c.drainSpans(ctx, sp)
 				return nil
 			}
 		case MsgError:
@@ -492,20 +468,20 @@ func (c *Client) readStreamOnce(ctx context.Context, m *muxConn, req *ReadSegsRe
 }
 
 // drainSpans fetches the server-side span records of a completed
-// streamed op and attaches them to sp. Stream spans cannot piggyback
-// on the stream reply (it is built before the span closes), so the
+// streamed op and attaches them to sp. Stream spans cannot ride the
+// stream's reply frame (it is built before the span closes), so the
 // server stashes them and the client drains with MsgSpans. Best
 // effort: a trace missing its server half still stitches, the server
 // leg just shows as part of the client rpc span. The server stashes
 // records a beat after sending the reply, so an empty first answer is
 // retried briefly before giving up.
-func (c *Client) drainSpans(ctx context.Context, m *muxConn, sp *obs.Span) {
+func (c *Client) drainSpans(ctx context.Context, sp *obs.Span) {
 	if sp == nil {
 		return
 	}
 	for attempt := 0; attempt < 3; attempt++ {
 		req := AppendSpansReq(getFrameBuf(16), sp.TraceID())
-		f, err := c.muxExchange(ctx, m, MsgSpans, req)
+		f, err := c.muxExchange(ctx, req)
 		putFrameBuf(req)
 		if err != nil {
 			return

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"hash/crc32"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -12,23 +14,24 @@ import (
 	"parafile/internal/obs"
 )
 
-// proto_test.go covers the wire-v2 generation: the CRC32C frame
-// trailer and its typed corruption error, the MsgHello negotiation
-// against current and v1-capped daemons, and the Checksum RPC the
-// scrub path rides on.
+// proto_test.go covers the connection-level protocol: the CRC32C frame
+// trailer and its typed corruption error, the hello preface (accepted,
+// and refused for a peer of another protocol generation), the single
+// multiplexed connection a client keeps per node, and the Checksum RPC
+// the scrub path rides on.
 
-func TestFrameV2RoundTrip(t *testing.T) {
-	body := AppendStat(nil, &StatReq{File: "f", Subfile: 3})
+func TestFrameRoundTrip(t *testing.T) {
+	msg := AppendStat(nil, &StatReq{File: "f", Subfile: 3})
 	var buf bytes.Buffer
-	if err := WriteFrameV(&buf, body, ProtoVersion2); err != nil {
+	if err := WriteFrameV(&buf, msg, MaxProtoVersion); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrame(&buf, DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != ProtoVersion2 {
-		t.Fatalf("frame version %d, want %d", got[0], ProtoVersion2)
+	if got[0] != MaxProtoVersion {
+		t.Fatalf("frame version %d, want %d", got[0], MaxProtoVersion)
 	}
 	msgType, payload, err := ParseFrame(got)
 	if err != nil {
@@ -46,133 +49,151 @@ func TestFrameV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameV2DetectsCorruption(t *testing.T) {
-	body := AppendStat(nil, &StatReq{File: "file-name", Subfile: 1})
+func TestFrameDetectsCorruption(t *testing.T) {
+	msg := AppendStat(nil, &StatReq{File: "file-name", Subfile: 1})
 	var clean bytes.Buffer
-	if err := WriteFrameV(&clean, body, ProtoVersion2); err != nil {
+	if err := WriteFrameV(&clean, msg, MaxProtoVersion); err != nil {
 		t.Fatal(err)
 	}
 	wire := clean.Bytes()
 	// Flip every byte past the length prefix in turn: each single-byte
-	// corruption — in the version byte, payload or trailer — must
-	// surface as ErrCorruptFrame, never as a clean parse.
+	// corruption — in the version byte, header, payload or trailer —
+	// must surface as ErrCorruptFrame, never as a clean read.
 	for i := 4; i < len(wire); i++ {
 		damaged := append([]byte(nil), wire...)
 		damaged[i] ^= 0x40
-		got, err := ReadFrame(bytes.NewReader(damaged), DefaultMaxFrame)
-		if err == nil {
-			// A flipped version byte can only downgrade so far before the
-			// trailer is treated as payload; ParseFrame must then reject
-			// the version instead.
-			if _, _, perr := ParseFrame(got); perr == nil {
-				t.Fatalf("flip at %d parsed cleanly", i)
-			}
-			continue
-		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("flip at %d: error %v is not ErrCorrupt", i, err)
+		if _, err := ReadFrame(bytes.NewReader(damaged), DefaultMaxFrame); !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("flip at %d: error %v, want ErrCorruptFrame", i, err)
 		}
 	}
 	// The trailer itself checks out when untouched.
-	if FrameChecksum(body) == 0 {
+	if FrameChecksum(msg) == 0 {
 		t.Fatal("non-trivial body checksums to zero (suspicious)")
 	}
 }
 
-func TestNegotiationAgreesOnV2(t *testing.T) {
-	// A client capped at v2 keeps the classic pooled-connection path
-	// and lands on v2 framing.
+func TestNegotiationDefaultUpgradesToMux(t *testing.T) {
+	// Every call of a client rides one multiplexed connection: the
+	// preface is accepted once, and nothing else is ever dialed.
+	reg := obs.NewRegistry()
 	addr, _ := startServer(t, ServerConfig{})
-	c := NewClient(ClientConfig{Addr: addr, ProtoVersion: ProtoVersion2})
+	c := NewClient(ClientConfig{Addr: addr, Metrics: reg})
 	defer c.Close()
 	ctx := context.Background()
 	if err := c.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stat(ctx, "f", 0); err != nil {
 		t.Fatal(err)
 	}
 	c.mu.Lock()
-	if len(c.idle) == 0 {
-		c.mu.Unlock()
-		t.Fatal("no pooled connection after a call")
-	}
-	ver := c.idle[0].ver
-	c.mu.Unlock()
-	if ver != ProtoVersion2 {
-		t.Fatalf("negotiated version %d, want %d", ver, ProtoVersion2)
-	}
-}
-
-func TestNegotiationDefaultUpgradesToMux(t *testing.T) {
-	// An uncapped client against a current daemon negotiates v3 and
-	// multiplexes over a single connection instead of pooling.
-	addr, _ := startServer(t, ServerConfig{})
-	c := NewClient(ClientConfig{Addr: addr})
-	defer c.Close()
-	ctx := context.Background()
-	if err := c.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
-		t.Fatal(err)
-	}
-	c.muxMu.Lock()
 	m := c.mux
-	c.muxMu.Unlock()
+	c.mu.Unlock()
 	if m == nil || !m.alive() {
 		t.Fatal("no live multiplexed connection after a call")
 	}
-	if m.ver != ProtoVersion3 {
-		t.Fatalf("mux negotiated version %d, want %d", m.ver, ProtoVersion3)
-	}
-	c.mu.Lock()
-	pooled := len(c.idle)
-	c.mu.Unlock()
-	if pooled != 0 {
-		t.Fatalf("default client pooled %d classic connections alongside the mux", pooled)
+	if dials := reg.Counter(MetricClientDials).Value(); dials != 1 {
+		t.Fatalf("%d dials for two calls, want 1", dials)
 	}
 }
 
-func TestNegotiationDowngradesToV1Server(t *testing.T) {
-	// A daemon capped at v1 behaves like one that predates negotiation:
-	// it answers the Hello with a bad-request error and the client
-	// quietly speaks v1 on that connection.
-	addr, _ := startServer(t, ServerConfig{MaxProtoVersion: 1})
-	c := NewClient(ClientConfig{Addr: addr})
-	defer c.Close()
-	ctx := context.Background()
-	if err := c.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteSegments(ctx, &WriteSegsReq{File: "f", Subfile: 0, Lo: 0, Hi: 7, Data: []byte("12345678")}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := c.Stat(ctx, "f", 0)
+// helloExchange sends hello as a connection's first frame and returns
+// the server's verdict, then checks the server closed the connection
+// iff it refused.
+func helloExchange(t *testing.T, addr string, write func(conn net.Conn) error) (byte, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 8 {
-		t.Fatalf("stat = %d, want 8", n)
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := write(conn); err != nil {
+		t.Fatal(err)
 	}
-	c.mu.Lock()
-	ver := c.idle[0].ver
-	c.mu.Unlock()
-	if ver != ProtoVersion {
-		t.Fatalf("negotiated version %d against a v1 daemon, want %d", ver, ProtoVersion)
+	body, err := ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatalf("no verdict on the preface: %v", err)
+	}
+	msgType, payload, err := ParseFrame(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgType == MsgOK {
+		return msgType, payload
+	}
+	if _, err := ReadFrame(conn, 0); !errors.Is(err, io.EOF) {
+		t.Fatalf("connection not closed after a refused preface: %v", err)
+	}
+	return msgType, payload
+}
+
+func TestHelloPrefaceOtherVersionRefused(t *testing.T) {
+	// A peer from another protocol generation — in the hello payload,
+	// or in the frame's own version byte — gets a typed bad-request
+	// answer and a closed connection, not a hang, a misparse or a
+	// quiet downgrade.
+	addr, _ := startServer(t, ServerConfig{})
+	for name, write := range map[string]func(net.Conn) error{
+		"hello names another version": func(conn net.Conn) error {
+			return WriteFrameV(conn, AppendHello(nil, MaxProtoVersion+1, ""), MaxProtoVersion)
+		},
+		"frame of another version": func(conn net.Conn) error {
+			return WriteFrameV(conn, AppendHello(nil, MaxProtoVersion-1, ""), MaxProtoVersion-1)
+		},
+		"no preface at all": func(conn net.Conn) error {
+			return WriteFrameV(conn, AppendPing(nil), MaxProtoVersion)
+		},
+	} {
+		msgType, payload := helloExchange(t, addr, write)
+		if msgType != MsgError {
+			t.Fatalf("%s: answered with type %#x, want MsgError", name, msgType)
+		}
+		re, err := DecodeError(payload)
+		if err != nil || re.Code != ErrCodeBadRequest {
+			t.Fatalf("%s: got (%+v, %v), want a bad-request error", name, re, err)
+		}
+	}
+	// And the matching preface is accepted.
+	if msgType, _ := helloExchange(t, addr, func(conn net.Conn) error {
+		return WriteFrameV(conn, AppendHello(nil, MaxProtoVersion, "gold"), MaxProtoVersion)
+	}); msgType != MsgOK {
+		t.Fatalf("matching preface answered with type %#x, want MsgOK", msgType)
 	}
 }
 
-func TestClientCappedAtV1SkipsNegotiation(t *testing.T) {
-	addr, srv := startServer(t, ServerConfig{})
-	c := NewClient(ClientConfig{Addr: addr, ProtoVersion: 1, Metrics: obs.NewRegistry()})
-	defer c.Close()
-	if err := c.Ping(context.Background()); err != nil {
+func TestClientRefusedByOtherVersionDaemon(t *testing.T) {
+	// The client side of the same refusal: a daemon that answers the
+	// preface with a bad-request error fails the call with that typed
+	// error within ReadTimeout — no retry storm, no downgrade.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	ver := c.idle[0].ver
-	c.mu.Unlock()
-	if ver != ProtoVersion {
-		t.Fatalf("v1-capped client negotiated version %d", ver)
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if body, err := ReadFrame(conn, 0); err == nil {
+				ReleaseFrame(body)
+				WriteFrameV(conn, AppendError(nil, ErrCodeBadRequest, "protocol version 4, want 9"), MaxProtoVersion)
+			}
+			conn.Close()
+		}
+	}()
+	c := NewClient(ClientConfig{Addr: ln.Addr().String(), ReadTimeout: 2 * time.Second, BackoffBase: time.Millisecond})
+	defer c.Close()
+	start := time.Now()
+	err = c.Ping(context.Background())
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != ErrCodeBadRequest {
+		t.Fatalf("ping against a refusing daemon: %v, want a bad-request RemoteError", err)
 	}
-	// The server never saw a Hello.
-	if got := srv.met.requests[MsgHello].Value(); got != 0 {
-		t.Fatalf("server counted %d hello requests from a v1 client", got)
+	if time.Since(start) > 2*time.Second {
+		t.Fatalf("refusal took %v", time.Since(start))
 	}
 }
 
@@ -221,7 +242,7 @@ func TestChecksumRPC(t *testing.T) {
 }
 
 func TestClientRetriesCorruptResponseFrame(t *testing.T) {
-	// One byte of the first response is flipped in flight. The v2 frame
+	// One byte of the first response is flipped in flight. The frame
 	// trailer catches it; the client drops the connection and the retry
 	// gets a clean answer.
 	addr, _ := startServer(t, ServerConfig{})

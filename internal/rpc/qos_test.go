@@ -37,58 +37,35 @@ func shedLimiter(t *testing.T) *qos.Limiter {
 }
 
 func TestHelloTenantRoundTrip(t *testing.T) {
-	// Empty tenant encodes byte-identically to the pre-tenant Hello.
-	legacy := AppendHelloFeatures(nil, 3, FeaturePlacement)
-	plain := AppendHelloTenant(nil, 3, FeaturePlacement, "")
-	if !bytes.Equal(legacy, plain) {
-		t.Fatalf("empty tenant changed the Hello bytes:\n  %x\n  %x", legacy, plain)
+	for _, want := range []string{"", "gold"} {
+		ver, tenant, err := DecodeHello(roundTrip(t, AppendHello(nil, MaxProtoVersion, want), MsgHello))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ver != MaxProtoVersion || tenant != want {
+			t.Fatalf("decoded (ver=%d tenant=%q), want (%d, %q)", ver, tenant, MaxProtoVersion, want)
+		}
 	}
-
-	body := AppendHelloTenant(nil, 3, FeaturePlacement|FeatureTenant, "gold")
-	msgType, payload, err := ParseFrame(body)
-	if err != nil || msgType != MsgHello {
-		t.Fatalf("ParseFrame: type %#x err %v", msgType, err)
-	}
-	v, feats, tenant, err := DecodeHelloTenant(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 3 || feats != FeaturePlacement|FeatureTenant || tenant != "gold" {
-		t.Fatalf("decoded (v=%d feats=%#x tenant=%q)", v, feats, tenant)
-	}
-
-	// A Hello without the tenant bit never carries a tenant.
-	_, _, tenant, err = DecodeHelloTenant(payload[:len(payload)-len("gold")-1])
-	if err == nil && tenant != "" {
-		t.Fatalf("tenant %q decoded from a truncated hello", tenant)
-	}
-	_, p2, _ := ParseFrame(plain)
-	if _, _, tenant, err = DecodeHelloTenant(p2); err != nil || tenant != "" {
-		t.Fatalf("legacy hello: tenant %q err %v", tenant, err)
+	// A preface cut short anywhere is corrupt, never a default tenant.
+	payload := roundTrip(t, AppendHello(nil, MaxProtoVersion, "gold"), MsgHello)
+	for cut := 0; cut < len(payload); cut++ {
+		if _, _, err := DecodeHello(payload[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("hello truncated at %d/%d: %v", cut, len(payload), err)
+		}
 	}
 }
 
 func TestErrorRetryAfterRoundTrip(t *testing.T) {
-	// No retry hint encodes byte-identically to the legacy error.
-	legacy := AppendError(nil, ErrCodeIO, "boom")
-	plain := AppendErrorRetry(nil, ErrCodeIO, "boom", 0)
-	if !bytes.Equal(legacy, plain) {
-		t.Fatalf("zero retry-after changed the error bytes:\n  %x\n  %x", legacy, plain)
-	}
-
 	for _, tc := range []struct {
 		in, want time.Duration
 	}{
+		{0, 0},
 		{250 * time.Millisecond, 250 * time.Millisecond},
 		{3 * time.Second, 3 * time.Second},
 		{100 * time.Microsecond, time.Millisecond}, // sub-ms rounds up
 	} {
-		body := AppendErrorRetry(nil, ErrCodeOverloaded, "shed", tc.in)
-		_, payload, err := ParseFrame(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		re, err := DecodeError(payload)
+		msg := AppendErrorLeader(nil, ErrCodeOverloaded, "shed", tc.in, "")
+		re, err := DecodeError(roundTrip(t, msg, MsgError))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,17 +76,11 @@ func TestErrorRetryAfterRoundTrip(t *testing.T) {
 			t.Fatalf("overloaded RemoteError does not match qos.ErrOverloaded")
 		}
 	}
-
-	_, payload, _ := ParseFrame(legacy)
-	re, err := DecodeError(payload)
-	if err != nil || re.RetryAfter != 0 {
-		t.Fatalf("legacy error: retry %v err %v", re.RetryAfter, err)
-	}
 }
 
 func TestCloseRemoveRoundTrip(t *testing.T) {
 	keep := AppendClose(nil, &CloseReq{File: "f"})
-	_, payload, err := ParseFrame(keep)
+	_, payload, err := ParseFrame(frameBody(frameHdr{}, keep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +93,7 @@ func TestCloseRemoveRoundTrip(t *testing.T) {
 	if bytes.Equal(keep, rm) {
 		t.Fatal("Remove flag did not change the encoding")
 	}
-	_, payload, _ = ParseFrame(rm)
+	_, payload, _ = ParseFrame(frameBody(frameHdr{}, rm))
 	if req, err = DecodeClose(payload); err != nil || !req.Remove {
 		t.Fatalf("decoded %+v err %v", req, err)
 	}

@@ -152,7 +152,7 @@ func TestNotLeaderErrorCarriesHint(t *testing.T) {
 		t.Fatalf("NotLeader error does not match ErrNotLeader sentinel: %v", re)
 	}
 
-	// Without a hint the field decodes empty (old-format compat).
+	// Without a hint the field decodes empty.
 	plain := AppendError(nil, ErrCodeBadRequest, "nope")
 	re2, err := DecodeError(roundTrip(t, plain, MsgError))
 	if err != nil {
@@ -163,33 +163,22 @@ func TestNotLeaderErrorCarriesHint(t *testing.T) {
 	}
 }
 
-// TestMetaCommitNewEpochCompat: NewEpoch is a trailing optional field —
-// a zero value must encode to the exact bytes the pre-replication
-// format produced, so mixed-version parafilemd/driver pairs interop.
+// TestMetaCommitNewEpochCompat: NewEpoch always travels; zero keeps
+// its meaning (the service picks the epoch) and a stamped value
+// survives verbatim.
 func TestMetaCommitNewEpochCompat(t *testing.T) {
 	req := &MetaCommitReq{
 		Name: "f", OldEpoch: 7, StoreName: "f@8",
 		Nodes: []string{"n1:1"}, Assign: []int{0},
 	}
-	base := AppendMetaCommit(nil, req)
-	req.NewEpoch = 0
-	if got := AppendMetaCommit(nil, req); string(got) != string(base) {
-		t.Fatal("zero NewEpoch changed the wire encoding")
-	}
-	got, err := DecodeMetaCommit(roundTrip(t, base, MsgMetaCommit))
-	if err != nil {
-		t.Fatalf("decode old-format commit: %v", err)
-	}
-	if got.NewEpoch != 0 {
-		t.Fatalf("old-format commit decoded NewEpoch %d, want 0", got.NewEpoch)
-	}
-
-	req.NewEpoch = 5 << 20
-	got2, err := DecodeMetaCommit(roundTrip(t, AppendMetaCommit(nil, req), MsgMetaCommit))
-	if err != nil {
-		t.Fatalf("decode new-format commit: %v", err)
-	}
-	if got2.NewEpoch != 5<<20 {
-		t.Fatalf("NewEpoch %d, want %d", got2.NewEpoch, 5<<20)
+	for _, epoch := range []uint64{0, 5 << 20} {
+		req.NewEpoch = epoch
+		got, err := DecodeMetaCommit(roundTrip(t, AppendMetaCommit(nil, req), MsgMetaCommit))
+		if err != nil {
+			t.Fatalf("decode commit at NewEpoch %d: %v", epoch, err)
+		}
+		if got.NewEpoch != epoch {
+			t.Fatalf("NewEpoch %d, want %d", got.NewEpoch, epoch)
+		}
 	}
 }

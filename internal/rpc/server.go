@@ -20,9 +20,11 @@ import (
 
 // server.go is the I/O-node daemon core: a concurrent TCP server that
 // hosts the subfile Storage backends of one node and executes the
-// view-driven scatter/gather requests against them. cmd/parafiled
-// wraps it with flags and signal handling; tests run it in-process on
-// a loopback listener.
+// view-driven scatter/gather requests against them. Connections run
+// on the shared loop in conn.go; this file answers its unary requests
+// and stream.go its chunked transfers. cmd/parafiled wraps it with
+// flags and signal handling; tests run it in-process on a loopback
+// listener.
 
 // ServerConfig configures an I/O-node server.
 type ServerConfig struct {
@@ -32,18 +34,12 @@ type ServerConfig struct {
 	DataDir string
 	// MaxFrame bounds accepted frame bodies (DefaultMaxFrame when 0).
 	MaxFrame int64
-	// MaxProtoVersion caps the protocol generation the server speaks
-	// (0 means the build's MaxProtoVersion). Setting 1 emulates a
-	// pre-negotiation daemon: MsgHello is an unknown message and v2
-	// frames are rejected — the downgrade path the client must survive.
-	MaxProtoVersion int
 	// Metrics receives the server-side RPC series; nil records nothing.
 	Metrics *obs.Registry
-	// Trace advertises FeatureTrace in the hello exchange and opens
-	// server-side child spans (decode, lock wait, scatter/gather,
-	// stream stalls, fsync) for requests that carry trace IDs. Off by
-	// default: a non-tracing server answers hellos byte-identically to
-	// a pre-tracing build.
+	// Trace opens server-side child spans (decode, lock wait,
+	// scatter/gather, stream stalls, fsync) for requests whose frame
+	// header carries a trace ID, and returns the completed records to
+	// the caller. Off by default.
 	Trace bool
 	// Node labels this server's spans and log lines (defaults to
 	// Tracer.Node(), else "ion").
@@ -64,20 +60,19 @@ type ServerConfig struct {
 	// ErrCodeOverloaded answer under sustained pressure), while
 	// control-plane requests bypass the queue so pings, stats and epoch
 	// fencing survive data-plane overload. The tenant key is the name
-	// the connection negotiated via FeatureTenant (legacy connections
-	// fall into the default class). Nil admits everything.
+	// the connection's hello preface carried (empty falls into the
+	// default class). Nil admits everything.
 	QoS *qos.Limiter
 }
 
 // Server hosts subfile stores behind the wire protocol. One Server is
 // one I/O node; a deployment runs one parafiled per node.
 type Server struct {
-	cfg    ServerConfig
-	met    serverMetrics
-	maxVer byte
-	node   string
-	stash  *obs.SpanStash
-	slow   obs.SlowOpLogger
+	cfg   ServerConfig
+	met   serverMetrics
+	node  string
+	stash *obs.SpanStash
+	slow  obs.SlowOpLogger
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -94,8 +89,8 @@ type serverFile struct {
 	mu     sync.Mutex
 	stores map[int]clusterfile.Storage
 	// epoch is the placement epoch the stores belong to (0 =
-	// unversioned, legacy single-placement file). It only ratchets
-	// upward, via CreateFile stamps and MsgEpoch.
+	// unversioned, a file outside the metadata service). It only
+	// ratchets upward, via CreateFile stamps and MsgEpoch.
 	epoch uint64
 	// fenced rejects epoch-stamped writes while a rebalance copies the
 	// stores to their next placement; reads keep flowing at the old
@@ -104,30 +99,31 @@ type serverFile struct {
 }
 
 // epochCheck validates a request's placement epoch against the store
-// generation. Called with sf.mu held; a zero request epoch (legacy
-// client) always passes.
-func (sf *serverFile) epochCheck(epoch uint64, write bool) (uint64, string) {
+// generation. Called with sf.mu held; a zero request epoch (an
+// unstamped request: the rebalance driver, a plain clusterfile over
+// rpc) always passes.
+func (sf *serverFile) epochCheck(epoch uint64, write bool) *RemoteError {
 	if epoch == 0 {
-		return 0, ""
+		return nil
 	}
 	if sf.epoch != 0 && epoch != sf.epoch {
-		return ErrCodeStalePlacement,
-			fmt.Sprintf("request at placement epoch %d, store at %d", epoch, sf.epoch)
+		return refusal(ErrCodeStalePlacement, "request at placement epoch %d, store at %d", epoch, sf.epoch)
 	}
 	if write && sf.fenced {
-		return ErrCodeStalePlacement,
-			fmt.Sprintf("store fenced for rebalance at epoch %d", sf.epoch)
+		return refusal(ErrCodeStalePlacement, "store fenced for rebalance at epoch %d", sf.epoch)
 	}
-	return 0, ""
+	return nil
+}
+
+// refusal builds the answer to a request the server will not execute.
+func refusal(code uint64, format string, args ...any) *RemoteError {
+	return &RemoteError{Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
 // NewServer builds a server; call Serve with a listener to run it.
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = DefaultMaxFrame
-	}
-	if cfg.MaxProtoVersion <= 0 || cfg.MaxProtoVersion > MaxProtoVersion {
-		cfg.MaxProtoVersion = MaxProtoVersion
 	}
 	node := cfg.Node
 	if node == "" {
@@ -137,14 +133,13 @@ func NewServer(cfg ServerConfig) *Server {
 		node = "ion"
 	}
 	s := &Server{
-		cfg:    cfg,
-		met:    newServerMetrics(cfg.Metrics),
-		maxVer: byte(cfg.MaxProtoVersion),
-		node:   node,
-		slow:   obs.SlowOpLogger{Log: cfg.Log, Threshold: cfg.SlowOp},
-		conns:  make(map[net.Conn]struct{}),
-		files:  make(map[string]*serverFile),
-		projs:  make(map[uint64]*redist.Projection),
+		cfg:   cfg,
+		met:   newServerMetrics(cfg.Metrics),
+		node:  node,
+		slow:  obs.SlowOpLogger{Log: cfg.Log, Threshold: cfg.SlowOp},
+		conns: make(map[net.Conn]struct{}),
+		files: make(map[string]*serverFile),
+		projs: make(map[uint64]*redist.Projection),
 	}
 	if cfg.Trace {
 		// Streamed ops park their completed spans here until the
@@ -153,16 +148,6 @@ func NewServer(cfg ServerConfig) *Server {
 		s.stash = obs.NewSpanStash(1024)
 	}
 	return s
-}
-
-// features returns the feature bits this server grants from a
-// client's requested mask.
-func (s *Server) features(requested uint64) uint64 {
-	granted := FeaturePlacement | FeatureTenant
-	if s.cfg.Trace {
-		granted |= FeatureTrace
-	}
-	return granted & requested
 }
 
 // qosOpOf classifies a message type for admission. Only the
@@ -178,20 +163,6 @@ func qosOpOf(msgType byte) qos.Op {
 		return qos.OpRead
 	}
 	return qos.OpControl
-}
-
-// qosBytes is the admission cost of one unary request: the request
-// frame for writes (the dominant msgbuf cost on the write path), the
-// declared response size for reads. A read declaring a negative size
-// (rejected as bad-request after admission) must not reach the quota
-// debit, where it would credit the tenant's byte bucket.
-func qosBytes(msgType byte, payload []byte) int64 {
-	if msgType == MsgReadSegs {
-		if req, err := DecodeReadSegs(payload); err == nil && req.N >= 0 {
-			return req.N
-		}
-	}
-	return int64(len(payload))
 }
 
 // isReplicaStoreOf reports whether name is a replica-tier store of
@@ -212,16 +183,15 @@ func isReplicaStoreOf(name, base string) bool {
 	return true
 }
 
-// overloadResp encodes an admission refusal: a typed
-// ErrCodeOverloaded answer carrying the limiter's RetryAfter hint.
-func (s *Server) overloadResp(out []byte, err error) []byte {
-	s.met.errCounter(ErrCodeOverloaded).Inc()
+// overloaded turns an admission refusal into its answer: a typed
+// ErrCodeOverloaded carrying the limiter's RetryAfter hint.
+func overloaded(err error) *RemoteError {
+	re := &RemoteError{Code: ErrCodeOverloaded, Msg: err.Error()}
 	var ov *qos.Overload
-	var retry time.Duration
 	if errors.As(err, &ov) {
-		retry = ov.RetryAfter
+		re.RetryAfter = ov.RetryAfter
 	}
-	return AppendErrorRetry(out, ErrCodeOverloaded, err.Error(), retry)
+	return re
 }
 
 // startSpan opens the server-side root span for one traced request
@@ -321,111 +291,36 @@ func (s *Server) handleConn(conn net.Conn) {
 		conn.Close()
 		s.connWG.Done()
 	}()
-	// tenant is the fair-share class this connection negotiated via a
-	// FeatureTenant hello (empty = default class). The classic loop is
-	// serial, so the hello handler may write it between requests.
-	var tenant string
-	for {
-		body, err := ReadFrame(conn, s.cfg.MaxFrame)
-		if err != nil {
-			// EOF, peer reset, the drain wake-up, or garbage: either
-			// way this connection is done.
-			return
-		}
-		s.met.recvBytes.Add(int64(len(body) + 4))
-		// A Hello asking for v3 or newer upgrades the connection to
-		// multiplexed framing right after the reply.
-		if muxTenant, ok := s.tryUpgradeV3(conn, body); ok {
-			ReleaseFrame(body)
-			s.serveMux(conn, muxTenant)
-			return
-		}
-		// Responses mirror the request's frame version (clamped to what
-		// this server speaks): a v2 request gets a checksummed v2
-		// response, a v1 request a bare v1 one.
-		respVer := byte(ProtoVersion)
-		if len(body) > 0 && body[0] > respVer {
-			respVer = body[0]
-		}
-		if respVer > s.maxVer {
-			respVer = s.maxVer
-		}
-		resp := s.handle(body, &tenant)
-		ReleaseFrame(body)
-		err = WriteFrameV(conn, resp, respVer)
-		s.met.sentBytes.Add(int64(len(resp) + 4))
-		putFrameBuf(resp)
-		if err != nil {
-			return
-		}
-		if s.draining.Load() {
-			return
-		}
-	}
+	// EOF, a peer reset, the drain wake-up or garbage framing all end
+	// the loop the same way: this connection is done.
+	serveConn(conn, s.cfg.MaxFrame, s, s.met.recvBytes, s.met.sentBytes)
 }
 
-// tryUpgradeV3 checks whether a frame is a Hello negotiating v3 or
-// newer; if so it sends the reply and reports true (plus the tenant
-// the hello carried), and the caller switches the connection into
-// multiplexed serving. Anything else — including a v1/v2 Hello, which
-// must keep its classic one-frame semantics — reports false and takes
-// the ordinary path.
-func (s *Server) tryUpgradeV3(conn net.Conn, body []byte) (string, bool) {
-	if s.maxVer < ProtoVersion3 || s.draining.Load() {
-		return "", false
+// unary runs one request of the shared connection loop. A request
+// whose frame header carries a trace ID executes under a span adopted
+// into the caller's trace, and the completed records ride back on the
+// reply frame.
+func (s *Server) unary(tenant string, h frameHdr, msgType byte, payload []byte) ([]byte, []obs.SpanRecord) {
+	sp := s.startSpan(MsgName(msgType), h.trace, h.span)
+	s.cfg.Tracer.Adopt(sp)
+	resp := s.dispatch(getFrameBuf(64), msgType, payload, sp, tenant)
+	if sp == nil {
+		return resp, nil
 	}
-	msgType, payload, err := ParseFrame(body)
-	if err != nil || msgType != MsgHello || body[0] > s.maxVer {
-		return "", false
+	if resp[0] == MsgError {
+		sp.Fail()
 	}
-	want, features, tenant, err := DecodeHelloTenant(payload)
-	if err != nil || want < ProtoVersion3 {
-		return "", false
-	}
-	s.met.requests[MsgHello].Inc()
-	agreed := want
-	if agreed > s.maxVer {
-		agreed = s.maxVer
-	}
-	granted := s.features(features)
-	if granted&FeatureTenant == 0 {
-		tenant = ""
-	}
-	resp := AppendHelloRespFeatures(getFrameBuf(16), agreed, granted)
-	// The Hello round-trip stays on the request's own frame version;
-	// only frames after it are v3. A failed reply write leaves the
-	// connection broken and the mux loop exits on its first read.
-	werr := WriteFrameV(conn, resp, body[0])
-	s.met.sentBytes.Add(int64(len(resp) + 4))
-	putFrameBuf(resp)
-	_ = werr
-	return tenant, true
+	s.cfg.Tracer.FinishOp(sp)
+	return resp, sp.Records(nil)
 }
 
-// handle executes one classic-framed request and returns the encoded
-// response in a pooled buffer. tenant is the connection's negotiated
-// fair-share class; a hello carrying FeatureTenant updates it.
-func (s *Server) handle(body []byte, tenant *string) []byte {
-	out := getFrameBuf(64)
-	msgType, payload, err := ParseFrame(body)
-	if err != nil {
-		return s.errResp(out, ErrCodeBadRequest, err.Error())
-	}
-	if body[0] > s.maxVer {
-		// A version-capped server refuses newer framing the same way a
-		// real old daemon would.
-		return s.errResp(out, ErrCodeBadRequest,
-			fmt.Sprintf("protocol version %d, want %d", body[0], s.maxVer))
-	}
-	return s.dispatch(out, msgType, payload, nil, tenant)
-}
-
-// dispatch executes one parsed request. It is shared by the classic
-// one-at-a-time connection loop and the multiplexed per-stream
-// goroutines: every handler locks the state it touches, so concurrent
-// dispatch is safe. sp is the server-side span of the request (nil
-// for untraced requests — every handler is nil-safe).
-func (s *Server) dispatch(out []byte, msgType byte, payload []byte, sp *obs.Span, tenant *string) []byte {
+// dispatch executes one parsed unary request and returns the reply
+// message. Requests of one connection run concurrently; every handler
+// locks the state it touches. sp is the server-side span of the
+// request (nil for untraced requests — every handler is nil-safe).
+// Admission charges the limiter exactly once per request: here for
+// control-plane messages, in openSeg for the segment operations.
+func (s *Server) dispatch(out []byte, msgType byte, payload []byte, sp *obs.Span, tenant string) []byte {
 	start := time.Now()
 	s.met.inflight.Add(1)
 	defer func() {
@@ -433,37 +328,16 @@ func (s *Server) dispatch(out []byte, msgType byte, payload []byte, sp *obs.Span
 		elapsed := time.Since(start)
 		s.met.requestNs.Observe(elapsed.Nanoseconds())
 		s.met.poolDiscards.Set(FramePoolDiscards())
-		// The traced envelope logs itself with the inner request's name
-		// and real trace ID; logging the wrapper too would double up.
-		if msgType != MsgTraced {
-			s.slow.Observe("rpc."+MsgName(msgType), sp.TraceID(), elapsed, nil)
-		}
+		s.slow.Observe("rpc."+MsgName(msgType), sp.TraceID(), elapsed, nil)
 	}()
 	s.met.requests[msgType].Inc()
 	if s.draining.Load() {
 		return s.errResp(out, ErrCodeShuttingDown, "server draining")
 	}
-	if msgType == MsgTraced {
-		return s.handleTraced(out, payload, tenant)
-	}
-	return s.route(out, msgType, payload, sp, tenant)
-}
-
-// route is the request-type switch shared by dispatch and the traced
-// envelope (which re-enters with the inner request and a live span).
-// Admission happens here, so every execution path — classic loop, mux
-// unary goroutines, traced envelopes — charges the limiter exactly
-// once per request, after the draining check and before any state is
-// touched.
-func (s *Server) route(out []byte, msgType byte, payload []byte, sp *obs.Span, tenant *string) []byte {
-	if s.cfg.QoS != nil {
-		var name string
-		if tenant != nil {
-			name = *tenant
-		}
-		rel, err := s.cfg.QoS.Acquire(context.Background(), name, qosOpOf(msgType), qosBytes(msgType, payload))
+	if s.cfg.QoS != nil && qosOpOf(msgType) == qos.OpControl {
+		rel, err := s.cfg.QoS.Acquire(context.Background(), tenant, qos.OpControl, int64(len(payload)))
 		if err != nil {
-			return s.overloadResp(out, err)
+			return s.refuse(out, overloaded(err))
 		}
 		defer rel()
 	}
@@ -473,9 +347,9 @@ func (s *Server) route(out []byte, msgType byte, payload []byte, sp *obs.Span, t
 	case MsgSetView:
 		return s.handleSetView(out, payload)
 	case MsgWriteSegs:
-		return s.handleWriteSegs(out, payload, sp)
+		return s.handleWriteSegs(out, payload, sp, tenant)
 	case MsgReadSegs:
-		return s.handleReadSegs(out, payload, sp)
+		return s.handleReadSegs(out, payload, sp, tenant)
 	case MsgStat:
 		return s.handleStat(out, payload)
 	case MsgClose:
@@ -486,12 +360,6 @@ func (s *Server) route(out []byte, msgType byte, payload []byte, sp *obs.Span, t
 			return s.errResp(out, ErrCodeBadRequest, err.Error())
 		}
 		return AppendOK(out)
-	case MsgHello:
-		// A version-capped (v1-emulating) server falls through to the
-		// unknown-message error below, exactly like a real old daemon.
-		if s.maxVer >= ProtoVersion2 {
-			return s.handleHello(out, payload, tenant)
-		}
 	case MsgChecksum:
 		return s.handleChecksum(out, payload, sp)
 	case MsgSpans:
@@ -500,32 +368,6 @@ func (s *Server) route(out []byte, msgType byte, payload []byte, sp *obs.Span, t
 		return s.handleEpoch(out, payload)
 	}
 	return s.errResp(out, ErrCodeBadRequest, fmt.Sprintf("unknown message type %#x", msgType))
-}
-
-// handleTraced runs a MsgTraced envelope: the inner request executes
-// under a span adopted into the caller's trace, and the completed
-// records travel back piggybacked ahead of the inner response.
-func (s *Server) handleTraced(out, payload []byte, tenant *string) []byte {
-	traceID, parent, innerType, inner, err := DecodeTraced(payload)
-	if err != nil {
-		return s.errResp(out, ErrCodeBadRequest, err.Error())
-	}
-	if innerType == MsgTraced {
-		return s.errResp(out, ErrCodeBadRequest, "nested traced envelope")
-	}
-	s.met.requests[innerType].Inc()
-	start := time.Now()
-	sp := s.startSpan(MsgName(innerType), traceID, parent)
-	s.cfg.Tracer.Adopt(sp)
-	resp := s.route(getFrameBuf(64), innerType, inner, sp, tenant)
-	if len(resp) >= 2 && resp[1] == MsgError {
-		sp.Fail()
-	}
-	s.slow.Observe("rpc."+MsgName(innerType), traceID, time.Since(start), nil)
-	s.cfg.Tracer.FinishOp(sp)
-	out = AppendTracedResp(out, sp.Records(nil), resp)
-	putFrameBuf(resp)
-	return out
 }
 
 // handleSpans drains the span records streamed operations stashed
@@ -538,22 +380,6 @@ func (s *Server) handleSpans(out, payload []byte) []byte {
 	return AppendSpansResp(out, s.stash.Take(traceID))
 }
 
-func (s *Server) handleHello(out, payload []byte, tenant *string) []byte {
-	want, features, helloTenant, err := DecodeHelloTenant(payload)
-	if err != nil {
-		return s.errResp(out, ErrCodeBadRequest, err.Error())
-	}
-	agreed := want
-	if agreed > s.maxVer {
-		agreed = s.maxVer
-	}
-	granted := s.features(features)
-	if granted&FeatureTenant != 0 && tenant != nil {
-		*tenant = helloTenant
-	}
-	return AppendHelloRespFeatures(out, agreed, granted)
-}
-
 func (s *Server) handleChecksum(out, payload []byte, sp *obs.Span) []byte {
 	req, err := DecodeChecksum(payload)
 	if err != nil {
@@ -563,9 +389,9 @@ func (s *Server) handleChecksum(out, payload []byte, sp *obs.Span) []byte {
 		return s.errResp(out, ErrCodeBadRequest,
 			fmt.Sprintf("bad checksum range [%d,+%d)", req.Off, req.N))
 	}
-	sf, st, code, msg := s.lookup(req.File, req.Subfile)
-	if code != 0 {
-		return s.errResp(out, code, msg)
+	sf, st, rerr := s.lookup(req.File, req.Subfile)
+	if rerr != nil {
+		return s.refuse(out, rerr)
 	}
 	lw := sp.StartChild("lock_wait")
 	sf.mu.Lock()
@@ -583,6 +409,12 @@ func (s *Server) handleChecksum(out, payload []byte, sp *obs.Span) []byte {
 func (s *Server) errResp(out []byte, code uint64, msg string) []byte {
 	s.met.errCounter(code).Inc()
 	return AppendError(out, code, msg)
+}
+
+// refuse encodes a refusal, RetryAfter hint included.
+func (s *Server) refuse(out []byte, re *RemoteError) []byte {
+	s.met.errCounter(re.Code).Inc()
+	return AppendErrorLeader(out, re.Code, re.Msg, re.RetryAfter, "")
 }
 
 // storageFactory returns the factory for one CreateFile request.
@@ -689,22 +521,21 @@ func (s *Server) handleSetView(out, payload []byte) []byte {
 	return AppendOK(out)
 }
 
-// lookup resolves (file, subfile) to its open store, or an error
-// response code.
-func (s *Server) lookup(file string, subfile int64) (*serverFile, clusterfile.Storage, uint64, string) {
+// lookup resolves (file, subfile) to its open store, or a refusal.
+func (s *Server) lookup(file string, subfile int64) (*serverFile, clusterfile.Storage, *RemoteError) {
 	s.mu.Lock()
 	sf := s.files[file]
 	s.mu.Unlock()
 	if sf == nil {
-		return nil, nil, ErrCodeUnknownFile, fmt.Sprintf("file %q not open", file)
+		return nil, nil, refusal(ErrCodeUnknownFile, "file %q not open", file)
 	}
 	sf.mu.Lock()
 	st := sf.stores[int(subfile)]
 	sf.mu.Unlock()
 	if st == nil {
-		return nil, nil, ErrCodeUnknownFile, fmt.Sprintf("subfile %d of %q not hosted here", subfile, file)
+		return nil, nil, refusal(ErrCodeUnknownFile, "subfile %d of %q not hosted here", subfile, file)
 	}
-	return sf, st, 0, ""
+	return sf, st, nil
 }
 
 // projection resolves a nonzero fingerprint.
@@ -715,50 +546,111 @@ func (s *Server) projection(fp uint64) (*redist.Projection, bool) {
 	return p, ok
 }
 
-func (s *Server) handleWriteSegs(out, payload []byte, sp *obs.Span) []byte {
+// segReq is the addressing the four segment operations share — unary
+// and streamed, scatter and gather. n is the payload size: the bytes a
+// write carries (zero makes it a pure EnsureLen) or a read asks for.
+type segReq struct {
+	file    string
+	subfile int64
+	fp      uint64
+	lo, hi  int64
+	n       int64
+	epoch   uint64
+	write   bool
+}
+
+// segTarget is what openSeg resolves a segReq to.
+type segTarget struct {
+	sf   *serverFile
+	st   clusterfile.Storage
+	proj *redist.Projection // nil = contiguous at lo
+	// release returns the admission slot; call it when the operation
+	// is over.
+	release func()
+}
+
+// openSeg is the one prelude of every segment operation: validate the
+// window and the payload size against what it selects, admit, look the
+// store up, check the placement epoch and grow the subfile to hi+1.
+// Nothing is admitted and no store is touched for a request refused by
+// an earlier step — a malformed size can neither credit a tenant's
+// quota nor leave a partial scatter behind. On success sf.mu is held.
+func (s *Server) openSeg(tenant string, r *segReq, sp *obs.Span) (t segTarget, rerr *RemoteError) {
+	if s.draining.Load() {
+		return t, refusal(ErrCodeShuttingDown, "server draining")
+	}
+	if r.hi < r.lo-1 || r.lo < 0 || r.n < 0 {
+		return t, refusal(ErrCodeBadRequest, "bad segment window [%d,%d] of %d bytes", r.lo, r.hi, r.n)
+	}
+	t.release = func() {}
+	want := r.hi - r.lo + 1
+	if r.fp != 0 {
+		var ok bool
+		if t.proj, ok = s.projection(r.fp); !ok {
+			return t, refusal(ErrCodeUnknownProjection, "projection %#x not registered", r.fp)
+		}
+		want = t.proj.BytesIn(r.lo, r.hi)
+	}
+	if r.n != want && !(r.write && r.n == 0) {
+		return t, refusal(ErrCodeBadRequest, "window [%d,%d] selects %d bytes, request carries %d",
+			r.lo, r.hi, want, r.n)
+	}
+	if s.cfg.QoS != nil {
+		op := qos.OpRead
+		if r.write {
+			op = qos.OpWrite
+		}
+		rel, err := s.cfg.QoS.Acquire(context.Background(), tenant, op, r.n)
+		if err != nil {
+			return t, overloaded(err)
+		}
+		t.release = rel
+	}
+	if t.sf, t.st, rerr = s.lookup(r.file, r.subfile); rerr != nil {
+		t.release()
+		return t, rerr
+	}
+	lw := sp.StartChild("lock_wait")
+	t.sf.mu.Lock()
+	lw.End()
+	if rerr = t.sf.epochCheck(r.epoch, r.write); rerr == nil {
+		// Reads grow too, like the in-process path: unwritten holes
+		// read as zeroes, like any sparse file.
+		if err := t.st.EnsureLen(r.hi + 1); err != nil {
+			rerr = refusal(ErrCodeIO, "%v", err)
+		}
+	}
+	if rerr != nil {
+		t.sf.mu.Unlock()
+		t.release()
+	}
+	return t, rerr
+}
+
+func (s *Server) handleWriteSegs(out, payload []byte, sp *obs.Span, tenant string) []byte {
 	dsp := sp.StartChild("decode")
 	req, err := DecodeWriteSegs(payload)
 	dsp.End()
 	if err != nil {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
 	}
-	if req.Hi < req.Lo-1 || req.Lo < 0 {
-		return s.errResp(out, ErrCodeBadRequest,
-			fmt.Sprintf("bad segment window [%d,%d]", req.Lo, req.Hi))
+	t, rerr := s.openSeg(tenant, &segReq{
+		file: req.File, subfile: req.Subfile, fp: req.Fingerprint,
+		lo: req.Lo, hi: req.Hi, n: int64(len(req.Data)), epoch: req.Epoch, write: true,
+	}, sp)
+	if rerr != nil {
+		return s.refuse(out, rerr)
 	}
-	var proj *redist.Projection
-	if req.Fingerprint != 0 {
-		var ok bool
-		if proj, ok = s.projection(req.Fingerprint); !ok {
-			return s.errResp(out, ErrCodeUnknownProjection,
-				fmt.Sprintf("projection %#x not registered", req.Fingerprint))
-		}
-	} else if len(req.Data) != 0 && int64(len(req.Data)) != req.Hi-req.Lo+1 {
-		return s.errResp(out, ErrCodeBadRequest,
-			fmt.Sprintf("contiguous write of %d bytes into window [%d,%d]", len(req.Data), req.Lo, req.Hi))
-	}
-	sf, st, code, msg := s.lookup(req.File, req.Subfile)
-	if code != 0 {
-		return s.errResp(out, code, msg)
-	}
-	lw := sp.StartChild("lock_wait")
-	sf.mu.Lock()
-	lw.End()
-	defer sf.mu.Unlock()
-	if code, msg := sf.epochCheck(req.Epoch, true); code != 0 {
-		return s.errResp(out, code, msg)
-	}
-	if err := st.EnsureLen(req.Hi + 1); err != nil {
-		return s.errResp(out, ErrCodeIO, err.Error())
-	}
+	defer t.release()
+	defer t.sf.mu.Unlock()
 	if len(req.Data) == 0 {
 		return AppendOK(out)
 	}
 	ssp := sp.StartChild("scatter")
-	if proj == nil {
-		err = st.WriteAt(req.Data, req.Lo)
+	if t.proj == nil {
+		err = t.st.WriteAt(req.Data, req.Lo)
 	} else {
-		err = clusterfile.ScatterRange(st, req.Data, proj, req.Lo, req.Hi)
+		err = clusterfile.ScatterRange(t.st, req.Data, t.proj, req.Lo, req.Hi)
 	}
 	ssp.End()
 	if err != nil {
@@ -767,62 +659,45 @@ func (s *Server) handleWriteSegs(out, payload []byte, sp *obs.Span) []byte {
 	return AppendOK(out)
 }
 
-func (s *Server) handleReadSegs(out, payload []byte, sp *obs.Span) []byte {
+func (s *Server) handleReadSegs(out, payload []byte, sp *obs.Span, tenant string) []byte {
 	dsp := sp.StartChild("decode")
 	req, err := DecodeReadSegs(payload)
 	dsp.End()
 	if err != nil {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
 	}
-	if req.N < 0 || req.Hi < req.Lo-1 || req.Lo < 0 || req.N > s.cfg.MaxFrame {
+	if req.N > s.cfg.MaxFrame {
 		return s.errResp(out, ErrCodeBadRequest,
-			fmt.Sprintf("bad read window [%d,%d] of %d bytes", req.Lo, req.Hi, req.N))
+			fmt.Sprintf("read of %d bytes exceeds the %d-byte frame cap", req.N, s.cfg.MaxFrame))
 	}
-	var proj *redist.Projection
-	if req.Fingerprint != 0 {
-		var ok bool
-		if proj, ok = s.projection(req.Fingerprint); !ok {
-			return s.errResp(out, ErrCodeUnknownProjection,
-				fmt.Sprintf("projection %#x not registered", req.Fingerprint))
-		}
-		if want := proj.BytesIn(req.Lo, req.Hi); want != req.N {
-			return s.errResp(out, ErrCodeBadRequest,
-				fmt.Sprintf("projection selects %d bytes in [%d,%d], request asks for %d",
-					want, req.Lo, req.Hi, req.N))
-		}
-	} else if req.N != req.Hi-req.Lo+1 {
-		return s.errResp(out, ErrCodeBadRequest,
-			fmt.Sprintf("contiguous read of %d bytes from window [%d,%d]", req.N, req.Lo, req.Hi))
+	t, rerr := s.openSeg(tenant, &segReq{
+		file: req.File, subfile: req.Subfile, fp: req.Fingerprint,
+		lo: req.Lo, hi: req.Hi, n: req.N, epoch: req.Epoch,
+	}, sp)
+	if rerr != nil {
+		return s.refuse(out, rerr)
 	}
-	sf, st, code, msg := s.lookup(req.File, req.Subfile)
-	if code != 0 {
-		return s.errResp(out, code, msg)
+	defer t.release()
+	defer t.sf.mu.Unlock()
+	// Gather straight into the reply, behind its head.
+	n := int(req.N)
+	if cap(out) < n+16 {
+		putFrameBuf(out)
+		out = getFrameBuf(n + 16)
 	}
-	lw := sp.StartChild("lock_wait")
-	sf.mu.Lock()
-	lw.End()
-	defer sf.mu.Unlock()
-	if code, msg := sf.epochCheck(req.Epoch, false); code != 0 {
-		return s.errResp(out, code, msg)
-	}
-	// Grow first, like the in-process read path: unwritten holes read
-	// as zeroes, like any sparse file.
-	if err := st.EnsureLen(req.Hi + 1); err != nil {
-		return s.errResp(out, ErrCodeIO, err.Error())
-	}
-	data := getFrameBuf(int(req.N))[:req.N]
-	defer putFrameBuf(data)
+	out = appendDataHead(out, n)
+	data := out[len(out) : len(out)+n]
 	gsp := sp.StartChild("gather")
-	if proj == nil {
-		err = st.ReadAt(data, req.Lo)
+	if t.proj == nil {
+		err = t.st.ReadAt(data, req.Lo)
 	} else {
-		err = clusterfile.GatherRange(data, st, proj, req.Lo, req.Hi)
+		err = clusterfile.GatherRange(data, t.st, t.proj, req.Lo, req.Hi)
 	}
 	gsp.End()
 	if err != nil {
-		return s.errResp(out, ErrCodeIO, err.Error())
+		return s.errResp(out[:0], ErrCodeIO, err.Error())
 	}
-	return AppendData(out, data)
+	return out[:len(out)+n]
 }
 
 func (s *Server) handleStat(out, payload []byte) []byte {
@@ -830,9 +705,9 @@ func (s *Server) handleStat(out, payload []byte) []byte {
 	if err != nil {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
 	}
-	sf, st, code, msg := s.lookup(req.File, req.Subfile)
-	if code != 0 {
-		return s.errResp(out, code, msg)
+	sf, st, rerr := s.lookup(req.File, req.Subfile)
+	if rerr != nil {
+		return s.refuse(out, rerr)
 	}
 	sf.mu.Lock()
 	n := st.Len()

@@ -1,27 +1,22 @@
 package rpc
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"parafile/internal/clusterfile"
 	"parafile/internal/falls"
 	"parafile/internal/obs"
-	"parafile/internal/qos"
 	"parafile/internal/redist"
 )
 
-// stream.go is the server side of proto v3. A connection whose Hello
-// asked for v3 switches into multiplexed mode: a single read loop
-// demultiplexes tagged frames, unary requests dispatch in their own
-// goroutines, and the chunked-transfer messages run as pipelines —
+// stream.go is the data daemon's half of the chunked-transfer
+// messages, which run as pipelines on the shared connection loop
+// (conn.go) —
 //
-//   write stream: read loop feeds arriving chunks into a bounded
+//   write stream: the read loop feeds arriving chunks into a bounded
 //   channel; a per-stream worker scatters them into the store while
 //   later chunks are still crossing the wire. When the channel's
 //   window fills, the read loop parks, which propagates TCP
@@ -57,157 +52,65 @@ type srvWriteStream struct {
 	chunks chan srvChunk
 }
 
-// srvConn is one multiplexed connection, server side.
-type srvConn struct {
-	s    *Server
-	conn net.Conn
-	// tenant is the fair-share class the upgrade hello negotiated,
-	// fixed for the connection's lifetime (the concurrent stream
-	// goroutines only ever read it).
-	tenant string
-
-	// wmu serializes outgoing frames across all streams.
-	wmu sync.Mutex
-	// wg tracks every goroutine spawned for this connection.
-	wg sync.WaitGroup
-
-	// writeStreams is owned by the read loop goroutine.
-	writeStreams map[uint64]*srvWriteStream
+// sendMsg sends a reply message on a stream and releases its buffer.
+func (sc *srvConn) sendMsg(sid uint64, msg []byte) {
+	sc.send(&frameHdr{sid: sid}, msg)
+	putFrameBuf(msg)
 }
 
-// serveMux runs a v3 connection until it drops, then releases every
-// stream worker and waits for them.
-func (s *Server) serveMux(conn net.Conn, tenant string) {
-	sc := &srvConn{s: s, conn: conn, tenant: tenant, writeStreams: make(map[uint64]*srvWriteStream)}
-	sc.readLoop()
-	for _, st := range sc.writeStreams {
-		close(st.chunks)
-	}
-	sc.wg.Wait()
-}
-
-// send writes one frame, vectored and serialized.
-func (sc *srvConn) send(parts ...[]byte) error {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if err := WriteFrameVec(sc.conn, ProtoVersion3, parts...); err != nil {
-		return err
-	}
-	sc.s.met.sentBytes.Add(int64(n + 4))
-	return nil
-}
-
-// sendResp reframes an encoded [ver][type][payload] response onto a
-// stream and sends it. The response buffer stays owned by the caller.
-func (sc *srvConn) sendResp(sid uint64, resp []byte) error {
-	prefix := appendStreamHdr(getFrameBuf(16), resp[1], sid)
-	err := sc.send(prefix, resp[2:])
-	putFrameBuf(prefix)
-	return err
-}
-
-// sendErr sends an error response on a stream.
-func (sc *srvConn) sendErr(sid uint64, code uint64, msg string) {
-	out := sc.s.errResp(getFrameBuf(64), code, msg)
-	sc.sendResp(sid, out)
-	putFrameBuf(out)
-}
-
-// sendOverload sends an admission refusal (with its RetryAfter hint)
-// on a stream.
-func (sc *srvConn) sendOverload(sid uint64, err error) {
-	out := sc.s.overloadResp(getFrameBuf(64), err)
-	sc.sendResp(sid, out)
-	putFrameBuf(out)
-}
-
-// readLoop demultiplexes the connection until EOF, a framing error, or
-// the drain wake-up.
-func (sc *srvConn) readLoop() {
-	s := sc.s
-	for {
-		body, err := ReadFrame(sc.conn, s.cfg.MaxFrame)
+// stream consumes the frames of chunked transfers on the read loop:
+// stream opens spawn their worker, write chunks feed it.
+func (s *Server) stream(sc *srvConn, h frameHdr, msgType byte, body, payload []byte) (bool, error) {
+	switch msgType {
+	case MsgWriteChunk:
+		flags, data, err := splitChunk(payload)
 		if err != nil {
-			return
+			ReleaseFrame(body)
+			return true, err
 		}
-		s.met.recvBytes.Add(int64(len(body) + 4))
-		msgType, rest, err := ParseFrame(body)
-		var sid uint64
-		var payload []byte
-		if err == nil {
-			sid, payload, err = splitStreamFrame(rest)
+		st := sc.writeStreams[h.sid]
+		if st == nil {
+			// Chunk for a stream that never opened (or a duplicate
+			// tail after teardown): drop it.
+			ReleaseFrame(body)
+			return true, nil
 		}
+		ck := srvChunk{
+			body:  body,
+			data:  data,
+			last:  flags&flagChunkLast != 0,
+			abort: flags&flagChunkAbort != 0,
+		}
+		st.chunks <- ck
+		if ck.last || ck.abort {
+			close(st.chunks)
+			delete(sc.writeStreams, h.sid)
+		}
+	case MsgWriteStream:
+		req, err := DecodeWriteStream(payload)
+		ReleaseFrame(body)
 		if err != nil {
-			// Broken framing on a multiplexed connection poisons every
-			// stream on it: drop the connection, clients retry.
-			ReleaseFrame(body)
-			return
+			return true, err
 		}
-		switch msgType {
-		case MsgWriteChunk:
-			flags, data, cerr := splitChunk(payload)
-			if cerr != nil {
-				ReleaseFrame(body)
-				return
-			}
-			st := sc.writeStreams[sid]
-			if st == nil {
-				// Chunk for a stream that never opened (or a duplicate
-				// tail after teardown): drop it.
-				ReleaseFrame(body)
-				continue
-			}
-			ck := srvChunk{
-				body:  body,
-				data:  data,
-				last:  flags&flagChunkLast != 0,
-				abort: flags&flagChunkAbort != 0,
-			}
-			st.chunks <- ck
-			if ck.last || ck.abort {
-				close(st.chunks)
-				delete(sc.writeStreams, sid)
-			}
-		case MsgWriteStream:
-			req, derr := DecodeWriteStream(payload)
-			ReleaseFrame(body)
-			if derr != nil {
-				return
-			}
-			st := &srvWriteStream{chunks: make(chan srvChunk, streamWindow)}
-			sc.writeStreams[sid] = st
-			sc.wg.Add(1)
-			go sc.runWriteStream(sid, req, st)
-		case MsgReadStream:
-			req, derr := DecodeReadStream(payload)
-			ReleaseFrame(body)
-			if derr != nil {
-				return
-			}
-			sc.wg.Add(1)
-			go sc.runReadStream(sid, req)
-		default:
-			// Unary request: dispatch concurrently, responses serialize
-			// under the write lock. MsgTraced envelopes take this path
-			// too — dispatch unwraps them.
-			sc.wg.Add(1)
-			go func(sid uint64, msgType byte, body, payload []byte) {
-				defer sc.wg.Done()
-				// Each goroutine gets its own tenant copy: the mux
-				// connection's class is fixed at upgrade, and a stray
-				// mid-connection hello must not race sibling dispatches.
-				tenant := sc.tenant
-				resp := s.dispatch(getFrameBuf(64), msgType, payload, nil, &tenant)
-				ReleaseFrame(body)
-				sc.sendResp(sid, resp)
-				putFrameBuf(resp)
-			}(sid, msgType, body, payload)
+		st := &srvWriteStream{chunks: make(chan srvChunk, streamWindow)}
+		if sc.writeStreams == nil {
+			sc.writeStreams = make(map[uint64]*srvWriteStream)
 		}
+		sc.writeStreams[h.sid] = st
+		sc.wg.Add(1)
+		go s.runWriteStream(sc, h, req, st)
+	case MsgReadStream:
+		req, err := DecodeReadStream(payload)
+		ReleaseFrame(body)
+		if err != nil {
+			return true, err
+		}
+		sc.wg.Add(1)
+		go s.runReadStream(sc, h, req)
+	default:
+		return false, nil
 	}
+	return true, nil
 }
 
 // chunkFeed pulls a write stream's bytes chunk by chunk, releasing
@@ -298,106 +201,60 @@ func (f *chunkFeed) drain() {
 	}
 }
 
-// runWriteStream executes one chunked scatter. Mirrors
-// handleWriteSegs' validation, then consumes the chunk feed through a
-// single projection walk.
-func (sc *srvConn) runWriteStream(sid uint64, req *WriteStreamReq, st *srvWriteStream) {
-	defer sc.wg.Done()
-	s := sc.s
+// streamSpan opens the server span of a traced stream. Its records
+// cannot ride the stream's reply, which is built before the span
+// closes: done parks them in the stash for the client's MsgSpans drain.
+func (s *Server) streamSpan(name string, h frameHdr) (sp *obs.Span, done func()) {
+	sp = s.startSpan(name, h.trace, h.span)
+	s.cfg.Tracer.Adopt(sp)
+	return sp, func() {
+		if sp != nil {
+			s.cfg.Tracer.FinishOp(sp)
+			s.stash.Put(h.trace, sp.Records(nil))
+		}
+	}
+}
+
+// observeStream records the request series of one stream; the returned
+// func closes them out.
+func (s *Server) observeStream(msgType byte) func() {
 	start := time.Now()
 	s.met.inflight.Add(1)
-	defer func() {
+	s.met.requests[msgType].Inc()
+	return func() {
 		s.met.inflight.Add(-1)
 		s.met.requestNs.Observe(time.Since(start).Nanoseconds())
 		s.met.poolDiscards.Set(FramePoolDiscards())
-	}()
-	s.met.requests[MsgWriteStream].Inc()
-	s.met.streamsW.Inc()
+	}
+}
 
-	// Traced stream: the span adopts the caller's trace; its records
-	// wait in the stash for the client's MsgSpans drain (the stream's
-	// own reply stays lean).
-	sp := s.startSpan("write_stream", req.TraceID, req.SpanID)
-	s.cfg.Tracer.Adopt(sp)
-	defer func() {
-		if sp != nil {
-			s.cfg.Tracer.FinishOp(sp)
-			s.stash.Put(req.TraceID, sp.Records(nil))
-		}
-	}()
+// runWriteStream executes one chunked scatter: the shared openSeg
+// prelude, then the chunk feed consumed through a single projection
+// walk.
+func (s *Server) runWriteStream(sc *srvConn, h frameHdr, req *WriteStreamReq, st *srvWriteStream) {
+	defer sc.wg.Done()
+	start := time.Now()
+	defer s.observeStream(MsgWriteStream)()
+	s.met.streamsW.Inc()
+	sp, done := s.streamSpan("write_stream", h)
+	defer done()
 
 	feed := &chunkFeed{s: s, chunks: st.chunks, measure: sp != nil}
-	fail := func(code uint64, msg string) {
+	t, rerr := s.openSeg(sc.tenant, &segReq{
+		file: req.File, subfile: req.Subfile, fp: req.Fingerprint,
+		lo: req.Lo, hi: req.Hi, n: req.Total, epoch: req.Epoch, write: true,
+	}, sp)
+	if rerr != nil {
 		sp.Fail()
 		feed.drain()
-		if feed.closed {
-			return // connection gone; nobody to answer
+		if !feed.closed { // else the connection is gone; nobody to answer
+			sc.sendMsg(h.sid, s.refuse(getFrameBuf(64), rerr))
 		}
-		sc.sendErr(sid, code, msg)
-	}
-
-	if s.draining.Load() {
-		fail(ErrCodeShuttingDown, "server draining")
 		return
 	}
-	// Validate before admission: a malformed request must be refused
-	// without ever touching the tenant's quota (a negative Total would
-	// otherwise credit the byte bucket).
-	if req.Hi < req.Lo-1 || req.Lo < 0 || req.Total < 0 {
-		fail(ErrCodeBadRequest, fmt.Sprintf("bad segment window [%d,%d] (%d bytes)", req.Lo, req.Hi, req.Total))
-		return
-	}
-	// Admission charges the stream's announced payload up front: the
-	// whole transfer occupies an in-flight slot and its bytes count
-	// against the tenant's quota, exactly like a unary write's frame.
-	if s.cfg.QoS != nil {
-		rel, aerr := s.cfg.QoS.Acquire(context.Background(), sc.tenant, qos.OpWrite, req.Total)
-		if aerr != nil {
-			sp.Fail()
-			feed.drain()
-			if !feed.closed {
-				sc.sendOverload(sid, aerr)
-			}
-			return
-		}
-		defer rel()
-	}
-	var proj *redist.Projection
-	if req.Fingerprint != 0 {
-		var ok bool
-		if proj, ok = s.projection(req.Fingerprint); !ok {
-			fail(ErrCodeUnknownProjection, fmt.Sprintf("projection %#x not registered", req.Fingerprint))
-			return
-		}
-		if want := proj.BytesIn(req.Lo, req.Hi); req.Total != 0 && want != req.Total {
-			fail(ErrCodeBadRequest, fmt.Sprintf("projection selects %d bytes in [%d,%d], stream announces %d",
-				want, req.Lo, req.Hi, req.Total))
-			return
-		}
-	} else if req.Total != 0 && req.Total != req.Hi-req.Lo+1 {
-		fail(ErrCodeBadRequest, fmt.Sprintf("contiguous write of %d bytes into window [%d,%d]", req.Total, req.Lo, req.Hi))
-		return
-	}
-	sf, store, code, msg := s.lookup(req.File, req.Subfile)
-	if code != 0 {
-		fail(code, msg)
-		return
-	}
-	sf.mu.Lock()
-	code, msg = sf.epochCheck(req.Epoch, true)
-	var err error
-	if code == 0 {
-		err = store.EnsureLen(req.Hi + 1)
-	}
+	defer t.release()
+	sf, store, proj := t.sf, t.st, t.proj
 	sf.mu.Unlock()
-	if code != 0 {
-		fail(code, msg)
-		return
-	}
-	if err != nil {
-		fail(ErrCodeIO, err.Error())
-		return
-	}
 
 	// The scatter: consume the feed through the projection's segments
 	// (or contiguously at Lo). The file lock is taken lazily and held
@@ -480,17 +337,15 @@ func (sc *srvConn) runWriteStream(sid uint64, req *WriteStreamReq, st *srvWriteS
 		return
 	case werr != nil:
 		sp.Fail()
-		sc.sendErr(sid, ErrCodeIO, werr.Error())
+		sc.sendMsg(h.sid, s.errResp(getFrameBuf(64), ErrCodeIO, werr.Error()))
 		return
 	case feed.received != req.Total:
 		sp.Fail()
-		sc.sendErr(sid, ErrCodeBadRequest,
-			fmt.Sprintf("stream carried %d bytes, announced %d", feed.received, req.Total))
+		sc.sendMsg(h.sid, s.errResp(getFrameBuf(64), ErrCodeBadRequest,
+			fmt.Sprintf("stream carried %d bytes, announced %d", feed.received, req.Total)))
 		return
 	}
-	out := AppendOK(getFrameBuf(16))
-	sc.sendResp(sid, out)
-	putFrameBuf(out)
+	sc.sendMsg(h.sid, AppendOK(getFrameBuf(16)))
 }
 
 // streamPiece is one gathered chunk traveling producer -> sender.
@@ -499,104 +354,35 @@ type streamPiece struct {
 	last bool
 }
 
-// runReadStream executes one chunked gather: validation mirroring
-// handleReadSegs (minus the single-frame size cap — chunking is how a
+// runReadStream executes one chunked gather: the shared openSeg
+// prelude (a stream has no single-frame size cap — chunking is how a
 // read escapes it), then a producer/sender pipeline.
-func (sc *srvConn) runReadStream(sid uint64, req *ReadStreamReq) {
+func (s *Server) runReadStream(sc *srvConn, h frameHdr, req *ReadStreamReq) {
 	defer sc.wg.Done()
-	s := sc.s
 	start := time.Now()
-	s.met.inflight.Add(1)
-	defer func() {
-		s.met.inflight.Add(-1)
-		s.met.requestNs.Observe(time.Since(start).Nanoseconds())
-		s.met.poolDiscards.Set(FramePoolDiscards())
-	}()
-	s.met.requests[MsgReadStream].Inc()
+	defer s.observeStream(MsgReadStream)()
 	s.met.streamsR.Inc()
+	sp, done := s.streamSpan("read_stream", h)
+	defer done()
 
-	sp := s.startSpan("read_stream", req.TraceID, req.SpanID)
-	s.cfg.Tracer.Adopt(sp)
-	defer func() {
-		if sp != nil {
-			s.cfg.Tracer.FinishOp(sp)
-			s.stash.Put(req.TraceID, sp.Records(nil))
-		}
-	}()
-	fail := func(code uint64, msg string) {
+	t, rerr := s.openSeg(sc.tenant, &segReq{
+		file: req.File, subfile: req.Subfile, fp: req.Fingerprint,
+		lo: req.Lo, hi: req.Hi, n: req.N, epoch: req.Epoch,
+	}, sp)
+	if rerr != nil {
 		sp.Fail()
-		sc.sendErr(sid, code, msg)
-	}
-
-	if s.draining.Load() {
-		fail(ErrCodeShuttingDown, "server draining")
+		sc.sendMsg(h.sid, s.refuse(getFrameBuf(64), rerr))
 		return
 	}
-	// Validate before admission, so a malformed request is refused
-	// without charging the tenant's quota.
-	if req.N < 0 || req.Hi < req.Lo-1 || req.Lo < 0 {
-		fail(ErrCodeBadRequest,
-			fmt.Sprintf("bad read window [%d,%d] of %d bytes", req.Lo, req.Hi, req.N))
-		return
-	}
-	// Admission charges the declared response size, mirroring the
-	// unary read path.
-	if s.cfg.QoS != nil {
-		rel, aerr := s.cfg.QoS.Acquire(context.Background(), sc.tenant, qos.OpRead, req.N)
-		if aerr != nil {
-			sp.Fail()
-			sc.sendOverload(sid, aerr)
-			return
-		}
-		defer rel()
-	}
-	var proj *redist.Projection
-	if req.Fingerprint != 0 {
-		var ok bool
-		if proj, ok = s.projection(req.Fingerprint); !ok {
-			fail(ErrCodeUnknownProjection,
-				fmt.Sprintf("projection %#x not registered", req.Fingerprint))
-			return
-		}
-		if want := proj.BytesIn(req.Lo, req.Hi); want != req.N {
-			fail(ErrCodeBadRequest,
-				fmt.Sprintf("projection selects %d bytes in [%d,%d], request asks for %d",
-					want, req.Lo, req.Hi, req.N))
-			return
-		}
-	} else if req.N != req.Hi-req.Lo+1 {
-		fail(ErrCodeBadRequest,
-			fmt.Sprintf("contiguous read of %d bytes from window [%d,%d]", req.N, req.Lo, req.Hi))
-		return
-	}
-	sf, store, code, msg := s.lookup(req.File, req.Subfile)
-	if code != 0 {
-		fail(code, msg)
-		return
-	}
-	// Grow first, like the single-frame read path: unwritten holes read
-	// as zeroes, like any sparse file.
-	sf.mu.Lock()
-	code, msg = sf.epochCheck(req.Epoch, false)
-	var err error
-	if code == 0 {
-		err = store.EnsureLen(req.Hi + 1)
-	}
+	defer t.release()
+	sf, store, proj := t.sf, t.st, t.proj
 	sf.mu.Unlock()
-	if code != 0 {
-		fail(code, msg)
-		return
-	}
-	if err != nil {
-		fail(ErrCodeIO, err.Error())
-		return
-	}
 
 	cs := int(req.ChunkSize)
 	if cs <= 0 {
 		cs = 1 << 20
 	}
-	if max := int(s.cfg.MaxFrame) - 64; cs > max {
+	if max := int(s.cfg.MaxFrame) - frameSlack; cs > max {
 		cs = max
 	}
 
@@ -606,7 +392,7 @@ func (sc *srvConn) runReadStream(sid uint64, req *ReadStreamReq) {
 	sc.wg.Add(1)
 	go func() {
 		defer sc.wg.Done()
-		perrCh <- sc.gatherChunks(req, proj, sf, store, cs, ch, &dead, sp)
+		perrCh <- gatherChunks(req, proj, sf, store, cs, ch, &dead, sp)
 		close(ch)
 	}()
 
@@ -621,16 +407,15 @@ func (sc *srvConn) runReadStream(sid uint64, req *ReadStreamReq) {
 		if p.last {
 			flags = flagChunkLast
 		}
-		hdr := appendChunkHdr(getFrameBuf(16), MsgDataChunk, sid, flags)
+		msg := [2]byte{MsgDataChunk, flags}
 		var err error
 		if sp != nil {
 			t0 := time.Now()
-			err = sc.send(hdr, p.data)
+			err = sc.send(&frameHdr{sid: h.sid}, msg[:], p.data)
 			sendNs += time.Since(t0).Nanoseconds()
 		} else {
-			err = sc.send(hdr, p.data)
+			err = sc.send(&frameHdr{sid: h.sid}, msg[:], p.data)
 		}
-		putFrameBuf(hdr)
 		putFrameBuf(p.data)
 		if err != nil {
 			dead.Store(true)
@@ -649,7 +434,8 @@ func (sc *srvConn) runReadStream(sid uint64, req *ReadStreamReq) {
 	if perr != nil && perr != errSenderDead && !sendFailed {
 		// Mid-stream store failure: the error frame terminates the
 		// stream, whether or not data chunks already traveled.
-		fail(ErrCodeIO, perr.Error())
+		sp.Fail()
+		sc.sendMsg(h.sid, s.errResp(getFrameBuf(64), ErrCodeIO, perr.Error()))
 	}
 }
 
@@ -657,7 +443,7 @@ func (sc *srvConn) runReadStream(sid uint64, req *ReadStreamReq) {
 // range (projected or contiguous), gathering store bytes into
 // chunk-sized pooled buffers, and hands each completed chunk to the
 // sender. The final chunk is flagged last (and may be empty for N=0).
-func (sc *srvConn) gatherChunks(req *ReadStreamReq, proj *redist.Projection, sf *serverFile,
+func gatherChunks(req *ReadStreamReq, proj *redist.Projection, sf *serverFile,
 	store clusterfile.Storage, cs int, ch chan<- streamPiece, dead *atomic.Bool, sp *obs.Span) error {
 	// The file lock is held across each chunk's worth of store reads
 	// and dropped before handing the chunk to the sender (a potential

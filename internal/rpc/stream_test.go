@@ -13,19 +13,18 @@ import (
 	"parafile/internal/obs"
 )
 
-// stream_test.go covers the proto-v3 generation: chunked streamed
-// transfers, the multiplexed connection they ride on, the fault matrix
-// mid-stream, and the retention caps on the frame pool.
+// stream_test.go covers chunked streamed transfers, the multiplexed
+// connection they ride on, the fault matrix mid-stream, and the
+// retention caps on the frame pool.
 
-// streamCfg is a client configuration that forces every segment
-// operation onto the streamed path with several chunks per op.
+// streamCfg is a client configuration whose chunk is small enough that
+// the tests' segment operations stream as several chunks per op.
 func streamCfg(addr string, reg *obs.Registry) ClientConfig {
 	return ClientConfig{
-		Addr:            addr,
-		ChunkSize:       64 << 10,
-		StreamThreshold: 1,
-		BackoffBase:     time.Millisecond,
-		Metrics:         reg,
+		Addr:        addr,
+		ChunkSize:   64 << 10,
+		BackoffBase: time.Millisecond,
+		Metrics:     reg,
 	}
 }
 
@@ -85,13 +84,15 @@ func TestStreamedWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestStreamedMatchesMonolithic(t *testing.T) {
-	// Bytes written streamed must read back identically through a
-	// v2-capped (monolithic) client, and vice versa.
+	// Chunk-size equivalence: bytes written as a chunked stream must
+	// read back identically through a client whose chunk holds the
+	// whole payload (one frame per op), and vice versa.
 	addr, _ := startServer(t, ServerConfig{})
 	ctx := context.Background()
-	sc := NewClient(streamCfg(addr, nil))
+	sreg, mreg := obs.NewRegistry(), obs.NewRegistry()
+	sc := NewClient(streamCfg(addr, sreg))
 	defer sc.Close()
-	mc := NewClient(ClientConfig{Addr: addr, ProtoVersion: ProtoVersion2})
+	mc := NewClient(ClientConfig{Addr: addr, ChunkSize: 300 << 10, Metrics: mreg})
 	defer mc.Close()
 	if err := sc.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
 		t.Fatal(err)
@@ -121,6 +122,51 @@ func TestStreamedMatchesMonolithic(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("streamed read of a monolithic write differs")
+	}
+	streamedOps := func(reg *obs.Registry) uint64 {
+		return reg.Counter(MetricClientStreamedOps+`{dir="write"}`).Value() +
+			reg.Counter(MetricClientStreamedOps+`{dir="read"}`).Value()
+	}
+	if streamedOps(sreg) != 2 || streamedOps(mreg) != 0 {
+		t.Fatalf("streamed ops: small-chunk client %d (want 2), payload-sized chunk %d (want 0)",
+			streamedOps(sreg), streamedOps(mreg))
+	}
+}
+
+func TestChunkSizeClampedToMaxFrame(t *testing.T) {
+	// A chunk above the frame cap would produce frames the daemon
+	// drops as oversized, retried to exhaustion. The client clamps it,
+	// so a 96 MiB ChunkSize against the default 64 MiB MaxFrame still
+	// moves a 70 MiB payload — as two chunks — byte-identically.
+	if testing.Short() {
+		t.Skip("moves 70 MiB twice")
+	}
+	addr, _ := startServer(t, ServerConfig{})
+	reg := obs.NewRegistry()
+	c := NewClient(ClientConfig{Addr: addr, ChunkSize: 96 << 20, MaxRetries: -1, Metrics: reg})
+	defer c.Close()
+	if c.cfg.ChunkSize != DefaultMaxFrame-frameSlack {
+		t.Fatalf("chunk size %d not clamped to %d", c.cfg.ChunkSize, DefaultMaxFrame-frameSlack)
+	}
+	ctx := context.Background()
+	if err := c.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 70<<20)
+	rand.New(rand.NewSource(70)).Read(data)
+	hi := int64(len(data)) - 1
+	if err := c.WriteSegments(ctx, &WriteSegsReq{File: "f", Subfile: 0, Lo: 0, Hi: hi, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if err := c.ReadSegments(ctx, &ReadSegsReq{File: "f", Subfile: 0, Lo: 0, Hi: hi, N: int64(len(data))}, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("70 MiB read-back differs from what was written")
+	}
+	if v := reg.Counter(MetricClientChunks + `{dir="sent"}`).Value(); v != 2 {
+		t.Fatalf("%d chunks sent, want 2", v)
 	}
 }
 
@@ -170,49 +216,6 @@ func TestMuxSingleConnConcurrency(t *testing.T) {
 	}
 }
 
-func TestClassicDialSemaphore(t *testing.T) {
-	// On the classic path, MaxConns bounds checked-out connections;
-	// excess calls wait for a token and the wait lands on the
-	// conn-wait histogram.
-	addr, _ := startServer(t, ServerConfig{})
-	inj := fault.NewInjector(fault.Plan{Seed: 3, Rules: []fault.Rule{
-		// Slow down responses so concurrent calls pile onto the one
-		// permitted connection.
-		{Node: fault.AnyNode, Op: fault.OpConnRead, Kind: fault.Delay, Delay: 5 * time.Millisecond, Times: 8},
-	}}, nil)
-	reg := obs.NewRegistry()
-	c := NewClient(ClientConfig{
-		Addr:         addr,
-		ProtoVersion: ProtoVersion2,
-		PoolSize:     1,
-		MaxConns:     1,
-		Dialer:       inj.Dialer(nil),
-		Metrics:      reg,
-	})
-	defer c.Close()
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				if err := c.Ping(ctx); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if reg.Histogram(MetricClientConnWaitNs, obs.LatencyBuckets()).Count() == 0 {
-		t.Fatal("no connection-token waits observed despite MaxConns=1 and 4 workers")
-	}
-	if dials := reg.Counter(MetricClientDials).Value(); dials > 1 {
-		t.Fatalf("%d dials despite MaxConns=1", dials)
-	}
-}
-
 func TestStreamFaultMatrix(t *testing.T) {
 	// Mid-stream faults: the connection dies N bytes into a chunked
 	// write, a response chunk is corrupted in flight, a response stalls
@@ -226,7 +229,7 @@ func TestStreamFaultMatrix(t *testing.T) {
 		metric string
 	}{
 		{
-			// After skips the negotiation and CreateFile writes so the
+			// After skips the preface and CreateFile writes so the
 			// injected reset lands amid the chunk frames of the big write.
 			name:   "conn dies mid-stream",
 			rule:   fault.Rule{Node: fault.AnyNode, Op: fault.OpConnWrite, Kind: fault.ErrorOnce, After: 10},
@@ -324,46 +327,6 @@ func TestStreamClientCancelMidWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitNoGoroutineLeak(t, before)
-}
-
-func TestStreamFallsBackOnV2Server(t *testing.T) {
-	// Against a v2-capped daemon the client silently keeps the classic
-	// monolithic path: same bytes, zero streamed operations.
-	addr, _ := startServer(t, ServerConfig{MaxProtoVersion: 2})
-	reg := obs.NewRegistry()
-	c := NewClient(streamCfg(addr, reg))
-	defer c.Close()
-	ctx := context.Background()
-	if err := c.CreateFile(ctx, &CreateFileReq{Name: "f", Phys: encodeTestPhys(t), Subfiles: []int{0}}); err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 256<<10)
-	rand.New(rand.NewSource(9)).Read(data)
-	hi := int64(len(data)) - 1
-	if err := c.WriteSegments(ctx, &WriteSegsReq{File: "f", Subfile: 0, Lo: 0, Hi: hi, Data: data}); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if err := c.ReadSegments(ctx, &ReadSegsReq{File: "f", Subfile: 0, Lo: 0, Hi: hi, N: int64(len(data))}, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("fallback read-back differs")
-	}
-	streamed := reg.Counter(MetricClientStreamedOps+`{dir="write"}`).Value() +
-		reg.Counter(MetricClientStreamedOps+`{dir="read"}`).Value()
-	if streamed != 0 {
-		t.Fatalf("%d operations claim to have streamed against a v2 daemon", streamed)
-	}
-	c.mu.Lock()
-	ver := byte(0)
-	if len(c.idle) > 0 {
-		ver = c.idle[0].ver
-	}
-	c.mu.Unlock()
-	if ver != ProtoVersion2 {
-		t.Fatalf("fallback pooled connection at version %d, want %d", ver, ProtoVersion2)
-	}
 }
 
 func TestFramePoolRetentionCap(t *testing.T) {

@@ -169,85 +169,68 @@ func checkStitchedTrees(t *testing.T, trees []*obs.TraceTree) {
 	}
 }
 
-// TestTracedWorkloadStitching: classic (monolithic-frame) path, where
-// server spans come back piggybacked on MsgTracedResp.
+// TestTracedWorkloadStitching: every op fits one frame, so server
+// spans come back in the reply frame's header.
 func TestTracedWorkloadStitching(t *testing.T) {
 	checkStitchedTrees(t, runTracedWorkload(t, rpc.ClientConfig{}))
 }
 
-// TestTracedStreamedWorkloadStitching: every segment op forced onto
-// the chunked streamed path, where server spans are parked in the
-// stash and drained with MsgSpans after the stream completes.
+// TestTracedStreamedWorkloadStitching: a chunk so small that every
+// segment op of more than 16 bytes travels the chunked streamed path,
+// where server spans are parked in the stash and drained with MsgSpans
+// after the stream completes.
 func TestTracedStreamedWorkloadStitching(t *testing.T) {
-	checkStitchedTrees(t, runTracedWorkload(t, rpc.ClientConfig{
-		ChunkSize:       64,
-		StreamThreshold: 1,
-	}))
+	checkStitchedTrees(t, runTracedWorkload(t, rpc.ClientConfig{ChunkSize: 16}))
 }
 
-// TestTraceOffNoWireTracing: a client with tracing off against traced
-// daemons must never emit MsgTraced or MsgSpans — the wire stays
-// byte-identical to a pre-tracing build (the request encoders are
-// unchanged; the only tracing bytes possible are these two message
-// types and the hello feature word, which is elided when zero).
+// TestTraceOffNoWireTracing: tracing is decided by each side's own
+// switch. With ClientConfig.Trace off the frame headers carry no trace
+// context — a tracing daemon opens no span (it would for any nonzero
+// header), returns no records and sees no MsgSpans drain. With
+// ServerConfig.Trace off a tracing client's IDs are ignored: the
+// workload completes and its trees hold client spans only.
 func TestTraceOffNoWireTracing(t *testing.T) {
-	reg := obs.NewRegistry()
-	addr, _ := startTracedDaemon(t, rpc.ServerConfig{Trace: true, Node: "ion0", Metrics: reg})
-	tr, err := rpc.NewTransport([]string{addr}, rpc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	cfg := clusterfile.DefaultConfig()
-	cfg.Transport = tr
-	// A tracer on the cluster but Trace off on the client: ops get
-	// local trees, and none of it may leak onto the wire.
-	cfg.Tracer = obs.NewTracer("client", 32)
-	runWorkload(t, 64, cfg)
-	for _, typ := range []string{"traced", "spans"} {
-		if n := reg.Counter(rpc.MetricServerRequests + `{type="` + typ + `"}`).Value(); n != 0 {
-			t.Errorf("server saw %d %s messages with client tracing off", n, typ)
-		}
-	}
-}
-
-// TestTraceAgainstOldDaemon: a tracing client against a daemon that
-// neither grants FeatureTrace nor speaks proto v3 (an old build) must
-// complete the workload untraced rather than fail or leak envelopes.
-func TestTraceAgainstOldDaemon(t *testing.T) {
-	reg := obs.NewRegistry()
-	addr, _ := startTracedDaemon(t, rpc.ServerConfig{MaxProtoVersion: 2, Metrics: reg})
-	creg := obs.NewRegistry()
-	tr, err := rpc.NewTransport([]string{addr}, rpc.Options{
-		Client:  rpc.ClientConfig{Trace: true},
-		Metrics: creg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	tracer := obs.NewTracer("client", 32)
-	cfg := clusterfile.DefaultConfig()
-	cfg.Transport = tr
-	cfg.Tracer = tracer
-	runWorkload(t, 64, cfg)
-	for _, typ := range []string{"traced", "spans"} {
-		if n := creg.Counter(rpc.MetricClientRequests + `{type="` + typ + `"}`).Value(); n != 0 {
-			t.Errorf("client sent %d %s messages to a v2 daemon", n, typ)
-		}
-	}
-	// The client still stitched local trees — they just have no
-	// server spans.
-	trees := tracer.Recent()
-	if len(trees) == 0 {
-		t.Fatal("no local trees against an old daemon")
-	}
-	for _, tree := range trees {
-		for n := range nodesIn(tree) {
-			if n != "client" {
-				t.Fatalf("foreign span from an untraced daemon in %016x: %q", tree.TraceID, n)
+	for _, tc := range []struct {
+		name           string
+		client, daemon bool
+	}{
+		{"client off", false, true},
+		{"daemon off", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			srvTracer := obs.NewTracer("ion0", 32)
+			addr, _ := startTracedDaemon(t, rpc.ServerConfig{Trace: tc.daemon, Node: "ion0", Tracer: srvTracer, Metrics: reg})
+			tr, err := rpc.NewTransport([]string{addr}, rpc.Options{Client: rpc.ClientConfig{Trace: tc.client, ChunkSize: 256}})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			defer tr.Close()
+			cfg := clusterfile.DefaultConfig()
+			cfg.Transport = tr
+			// The cluster always has a tracer: ops get local trees, and
+			// with a side switched off none of it may cross the wire.
+			tracer := obs.NewTracer("client", 32)
+			cfg.Tracer = tracer
+			runWorkload(t, 64, cfg)
+			if n := len(srvTracer.Recent()) + len(srvTracer.InFlight()); n != 0 {
+				t.Errorf("daemon recorded %d traced requests", n)
+			}
+			if n := reg.Counter(rpc.MetricServerRequests + `{type="spans"}`).Value(); n != 0 && !tc.client {
+				t.Errorf("server saw %d span drains with client tracing off", n)
+			}
+			trees := tracer.Recent()
+			if len(trees) == 0 {
+				t.Fatal("no local trees")
+			}
+			for _, tree := range trees {
+				for n := range nodesIn(tree) {
+					if n != "client" {
+						t.Fatalf("foreign span in %016x: %q", tree.TraceID, n)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -389,9 +372,9 @@ func TestPoolDiscardsExposition(t *testing.T) {
 	}
 }
 
-// BenchmarkStatTraced measures the per-request cost of the traced
-// envelope against the identical untraced request on a loopback
-// daemon — the number that justifies tracing-by-default on the
+// BenchmarkStatTraced measures the per-request cost of trace context
+// in the frame header, server spans and their return on the reply,
+// against the identical untraced request on a loopback daemon — the number that justifies tracing-by-default on the
 // daemons (the client still opts in per deployment).
 func BenchmarkStatTraced(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {

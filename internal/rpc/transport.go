@@ -56,7 +56,7 @@ type Transport struct {
 var _ clusterfile.Transport = (*Transport)(nil)
 
 // NewTransport builds a transport over the given daemon endpoints
-// (host:port each), one client pool per endpoint.
+// (host:port each), one client per endpoint.
 func NewTransport(addrs []string, opts Options) (*Transport, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("rpc: transport needs at least one endpoint")
@@ -78,14 +78,13 @@ func (t *Transport) newClient(addr string) *Client {
 }
 
 // Update reconciles the endpoint list after a placement refresh:
-// clients for endpoints still present are kept (their pools and
-// negotiated connections survive), new endpoints get fresh clients,
-// and clients for endpoints no longer in the map are retired — their
-// pooled connections close now, counted under
-// parafile_pool_discards{kind="retired"}, instead of idling until
-// discard caps evict them. Handles open before the update keep their
-// client pointers; operations on a retired client fail, which sends
-// the caller back through its placement-refresh path.
+// clients for endpoints still present are kept (their connections
+// survive), new endpoints get fresh clients, and clients for endpoints
+// no longer in the map are retired — their connections close now,
+// counted under parafile_pool_discards{kind="retired"}, instead of
+// idling. Handles open before the update keep their client pointers;
+// operations on a retired client fail, which sends the caller back
+// through its placement-refresh path.
 func (t *Transport) Update(addrs []string) {
 	t.mu.Lock()
 	old := t.clients
@@ -139,7 +138,7 @@ func (t *Transport) Open(ctx context.Context, name string, phys *part.File, assi
 // OpenEpoch is Open with every handle's operations stamped with a
 // placement epoch: the daemons compare it against their stores' and
 // answer ErrStalePlacement on mismatch (or, for writes, while
-// fenced). Epoch zero is the unstamped legacy protocol.
+// fenced). Epoch zero leaves the operations unstamped: no check.
 func (t *Transport) OpenEpoch(ctx context.Context, name string, phys *part.File, assign []int, epoch uint64) ([]clusterfile.SubfileHandle, error) {
 	physEnc := codec.EncodeFile(phys)
 	// Group the subfiles by daemon, preserving client order so the
@@ -220,7 +219,7 @@ func (t *Transport) RemoveStore(ctx context.Context, file string) error {
 	return first
 }
 
-// Close closes every daemon client pool.
+// Close closes every daemon client.
 func (t *Transport) Close() error {
 	t.mu.RLock()
 	clients := t.clients
@@ -258,7 +257,7 @@ type remoteHandle struct {
 	file    string
 	subfile int64
 	// epoch stamps every storage op with the placement epoch the handle
-	// was opened at (zero = unstamped legacy protocol).
+	// was opened at (zero = unstamped, unchecked).
 	epoch uint64
 	ref   *fileRef
 

@@ -177,8 +177,8 @@ func TestTransportEquivalence(t *testing.T) {
 }
 
 // TestStreamedTransportEquivalence re-runs the acceptance workload
-// with every segment operation forced onto the chunked streamed path
-// (threshold 1, chunks far smaller than the payloads): write, view
+// with the segment operations on the chunked streamed path (chunks far
+// smaller than the payloads): write, view
 // read-back and redistribution must stay byte-identical to the
 // in-process transport, and the streamed counters must prove the new
 // path actually carried the traffic.
@@ -192,10 +192,7 @@ func TestStreamedTransportEquivalence(t *testing.T) {
 		startDaemon(t, rpc.ServerConfig{}),
 	}
 	tr, err := rpc.NewTransport(addrs, rpc.Options{
-		Client: rpc.ClientConfig{
-			ChunkSize:       64,
-			StreamThreshold: 1,
-		},
+		Client:  rpc.ClientConfig{ChunkSize: 16},
 		Metrics: reg,
 	})
 	if err != nil {

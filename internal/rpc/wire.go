@@ -12,13 +12,19 @@
 // primitives, so the structures on the wire are the same ones the
 // in-process path computes.
 //
-// The client (client.go) keeps a per-node connection pool with write
-// and read deadlines and bounded exponential-backoff retry; every
-// request is idempotent (writes place the same bytes at the same
-// offsets), which is what makes blind retry after a connection drop
-// safe. The server (server.go) hosts one or more subfile Storage
-// backends per I/O node and drains gracefully on shutdown.
-// transport.go adapts a set of daemons to clusterfile.Transport.
+// There is one framing and one connection path. A frame is a 4-byte
+// length, a body — version byte, routing header (stream id, trace
+// context, returned span records), message — and a CRC32C trailer. A
+// message is a type byte plus payload, which is what the Append*
+// encoders build and the Decode* functions take apart. The client
+// (client.go, mux.go) multiplexes every call to a node over one
+// connection with write and read deadlines and bounded
+// exponential-backoff retry; every request is idempotent (writes place
+// the same bytes at the same offsets), which is what makes blind retry
+// after a connection drop safe. The server side (conn.go) is one
+// demultiplexing loop shared by the data daemons (server.go, stream.go)
+// and the metadata service. transport.go adapts a set of daemons to
+// clusterfile.Transport.
 package rpc
 
 import (
@@ -37,35 +43,21 @@ import (
 	"parafile/internal/qos"
 )
 
-// ProtoVersion tags every frame; a daemon refuses frames from a newer
-// protocol generation instead of misparsing them. Version 1 is the
-// original bare framing; version 2 appends a CRC32C trailer to every
-// frame (outside the length prefix), so wire corruption surfaces as a
-// typed ErrCorruptFrame instead of a decode failure deep in a payload.
-// The version is negotiated per connection: the client sends a
-// v1-framed MsgHello at dial time, and a v1-only daemon answering with
-// MsgError downgrades the connection instead of breaking it.
-const ProtoVersion = 1
+// MaxProtoVersion is the one protocol generation this tree speaks. It
+// leads every frame body; a frame carrying any other value is
+// ErrCorrupt, and a connection whose preface names another is refused
+// with a typed error — peers never negotiate a version down.
+const MaxProtoVersion = 4
 
-// ProtoVersion2 adds per-frame CRC32C trailers.
-const ProtoVersion2 = 2
-
-// ProtoVersion3 multiplexes: every frame body carries a varint stream
-// id after the type byte, concurrent operations share one connection
-// per node (a reader goroutine demultiplexes responses onto per-stream
-// channels), and large transfers travel as chunked streams
-// (MsgWriteStream/MsgReadStream + chunk frames) so network transmission
-// overlaps with the store-side scatter/gather instead of materializing
-// whole-operation frames. v3 frames keep the v2 CRC32C trailer.
-const ProtoVersion3 = 3
-
-// MaxProtoVersion is the newest generation this build speaks.
-const MaxProtoVersion = ProtoVersion3
-
-// DefaultMaxFrame bounds a frame body (type byte + payload). Large
+// DefaultMaxFrame bounds a frame body (header + message). Large
 // enough for any demo/benchmark payload, small enough to stop a
 // corrupt length prefix from allocating the machine away.
 const DefaultMaxFrame = 64 << 20
+
+// frameSlack is the room a chunk frame needs beyond its data — header,
+// message type, chunk flags — with margin. Both sides clamp chunk
+// sizes to MaxFrame-frameSlack.
+const frameSlack = 64
 
 // Request message types.
 const (
@@ -78,17 +70,17 @@ const (
 	// MsgPing is the lightweight liveness probe the circuit breaker
 	// uses in half-open state; it touches no file state.
 	MsgPing byte = 0x07
-	// MsgHello negotiates the connection's protocol version: the
-	// client names the newest generation it speaks, the server answers
-	// with min(client, server). Always sent v1-framed so a v1-only
-	// daemon parses it (and rejects it with MsgError, which the client
-	// treats as "speak v1").
+	// MsgHello is the connection preface, the first frame a client
+	// sends: [version byte][tenant string]. The server answers MsgOK, or
+	// a bad-request MsgError before closing when the version is not its
+	// own. The tenant names the connection's fair-share class for
+	// admission control (empty = default class).
 	MsgHello byte = 0x08
 	// MsgChecksum asks for the CRC32C of a subfile byte range; bytes
 	// beyond the current length count as zeroes. Scrub compares
 	// replicas with it without shipping the data.
 	MsgChecksum byte = 0x09
-	// MsgWriteStream opens a chunked scatter (proto v3 only): same
+	// MsgWriteStream opens a chunked scatter: same
 	// addressing as MsgWriteSegs but the data follows as MsgWriteChunk
 	// frames on the same stream id, so the server scatters while later
 	// chunks are still in flight. The server answers once, after the
@@ -98,22 +90,15 @@ const (
 	// [flags byte][bytes]. flagChunkLast marks the final slice,
 	// flagChunkAbort cancels the stream without a server reply.
 	MsgWriteChunk byte = 0x0B
-	// MsgReadStream opens a chunked gather (proto v3 only): same
+	// MsgReadStream opens a chunked gather: same
 	// addressing as MsgReadSegs plus the chunk size the client wants;
 	// the server answers with MsgDataChunk frames.
 	MsgReadStream byte = 0x0C
-	// MsgTraced is the tracing envelope: [uvarint trace id][uvarint
-	// parent span id][inner type][inner payload]. The server runs the
-	// inner request under a span adopted into the caller's trace and
-	// answers with MsgTracedResp carrying the completed span records
-	// piggybacked ahead of the inner response. Sent only after the
-	// peer advertised FeatureTrace in the hello exchange.
-	MsgTraced byte = 0x0D
 	// MsgSpans drains the span records a streamed operation left
-	// behind: [uvarint trace id] → MsgSpansResp. Streamed transfers
-	// carry their trace IDs in the stream-open request instead of an
-	// envelope, and their replies stay lean; the client collects the
-	// server-side spans with one drain call after the stream settles.
+	// behind: [uvarint trace id] → MsgSpansResp. A stream's reply is
+	// built before its server span closes, so the records cannot ride
+	// the reply frame like a unary call's; the client collects them
+	// with one drain call after the stream settles.
 	MsgSpans byte = 0x0E
 	// MsgEpoch is the placement-epoch admin request a rebalance driver
 	// sends to a data daemon: it stamps (ratchets) the placement epoch
@@ -123,7 +108,7 @@ const (
 )
 
 // Metadata-service request types (handled by parafilemd, not by the
-// data daemons; they share the framing, hello negotiation and error
+// data daemons; they share the framing, connection loop and error
 // encoding with the storage protocol).
 const (
 	MsgMetaCreate byte = 0x20
@@ -177,39 +162,13 @@ const (
 	MsgOK           byte = 0x10
 	MsgData         byte = 0x11
 	MsgStatResp     byte = 0x12
-	MsgHelloResp    byte = 0x13
 	MsgChecksumResp byte = 0x14
 	// MsgDataChunk carries one slice of a read stream's gathered bytes:
 	// [flags byte][bytes]. flagChunkLast marks the final slice.
 	MsgDataChunk byte = 0x15
-	// MsgTracedResp answers MsgTraced: [span records][inner type]
-	// [inner payload].
-	MsgTracedResp byte = 0x16
 	// MsgSpansResp answers MsgSpans: [span records].
 	MsgSpansResp byte = 0x17
 	MsgError     byte = 0x1F
-)
-
-// Feature bits exchanged in the hello negotiation (a uvarint bitmask
-// trailing the version; absent means zero, so pre-feature daemons and
-// clients interoperate unchanged).
-const (
-	// FeatureTrace: the peer accepts MsgTraced envelopes, trace IDs on
-	// stream-open requests, and MsgSpans drains.
-	FeatureTrace uint64 = 1 << 0
-	// FeaturePlacement: the peer accepts placement-epoch fields on
-	// data-path requests, checks them against each store's current
-	// epoch, and understands MsgEpoch. Clients only stamp epochs on
-	// connections where this bit came back granted, so the wire stays
-	// byte-identical against old daemons.
-	FeaturePlacement uint64 = 1 << 1
-	// FeatureTenant: the hello request carries a tenant name (a string
-	// trailing the feature mask) keying the daemon's fair-share
-	// admission scheduler. Granted means the daemon recorded it;
-	// legacy daemons reject the unknown trailing field, which the
-	// dialer handles by retrying the hello without it. Clients without
-	// a tenant never set the bit, so their hello stays byte-identical.
-	FeatureTenant uint64 = 1 << 2
 )
 
 // Chunk frame flags (first payload byte of MsgWriteChunk/MsgDataChunk).
@@ -251,8 +210,6 @@ func MsgName(t byte) string {
 		return "read_stream"
 	case MsgDataChunk:
 		return "data_chunk"
-	case MsgTraced:
-		return "traced"
 	case MsgSpans:
 		return "spans"
 	case MsgEpoch:
@@ -293,8 +250,6 @@ func MsgName(t byte) string {
 		return "meta_list_resp"
 	case MsgMetaNodesResp:
 		return "meta_nodes_resp"
-	case MsgTracedResp:
-		return "traced_resp"
 	case MsgSpansResp:
 		return "spans_resp"
 	case MsgOK:
@@ -303,8 +258,6 @@ func MsgName(t byte) string {
 		return "data"
 	case MsgStatResp:
 		return "stat_resp"
-	case MsgHelloResp:
-		return "hello_resp"
 	case MsgChecksumResp:
 		return "checksum_resp"
 	case MsgError:
@@ -363,7 +316,7 @@ type RemoteError struct {
 	Code uint64
 	Msg  string
 	// RetryAfter is the server's backoff hint on ErrCodeOverloaded
-	// responses (zero otherwise, and absent from the wire when zero).
+	// responses (zero otherwise).
 	RetryAfter time.Duration
 	// Leader is the redirect hint on ErrCodeNotLeader responses: the
 	// address of the node the answering follower believes holds the
@@ -394,17 +347,17 @@ func (e *RemoteError) Is(target error) bool {
 // ErrCorrupt wraps every wire-decoding failure.
 var ErrCorrupt = fmt.Errorf("rpc: corrupt frame")
 
-// ErrCorruptFrame marks a v2 frame whose CRC32C trailer did not match
+// ErrCorruptFrame marks a frame whose CRC32C trailer did not match
 // its body: the frame was damaged in flight, not malformed by a peer.
 // The client treats it like a connection-level failure — drop the
 // connection and retry the idempotent request — instead of surfacing a
 // decode error.
 var ErrCorruptFrame = fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
 
-// frameCastagnoli is the CRC32C table of the v2 frame trailer.
+// frameCastagnoli is the CRC32C table of the frame trailer.
 var frameCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// FrameChecksum is the CRC32C a v2 frame's trailer carries for body.
+// FrameChecksum is the CRC32C a frame's trailer carries for body.
 func FrameChecksum(body []byte) uint32 {
 	return crc32.Checksum(body, frameCastagnoli)
 }
@@ -428,9 +381,9 @@ var frameBufPool sync.Pool
 
 // maxPooledFrame caps frame-pool retention: buffers above this size are
 // dropped on release instead of returned to the pool, so one oversized
-// monolithic op cannot pin tens of megabytes for the life of the
-// process. Streamed chunks sit well below the cap, which is the point —
-// the steady-state pool holds chunk-sized buffers only.
+// frame cannot pin tens of megabytes for the life of the process.
+// Default-sized stream chunks sit well below the cap, which is the
+// point — the steady-state pool holds chunk-sized buffers only.
 const maxPooledFrame = 8 << 20
 
 // framePoolDiscards counts buffers dropped by the retention cap.
@@ -466,84 +419,75 @@ func putFrameBuf(b []byte) {
 	frameBufPool.Put(&b)
 }
 
-// WriteFrame writes one frame: a 4-byte big-endian body length, then
-// the body (version byte, type byte, payload). Frames whose version
-// byte is 2 or newer additionally carry a 4-byte big-endian CRC32C
-// trailer of the body; the trailer travels outside the length prefix,
-// so a v1 length parser reading a v2 stream desynchronizes loudly
-// instead of silently truncating payloads.
-func WriteFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	if len(body) > 0 && body[0] >= ProtoVersion2 {
-		var sum [4]byte
-		binary.BigEndian.PutUint32(sum[:], FrameChecksum(body))
-		if _, err := w.Write(sum[:]); err != nil {
-			return err
-		}
-	}
-	return nil
+// frameHdr is the routing header every frame body carries between the
+// version byte and the message.
+type frameHdr struct {
+	// sid pairs a reply with its request and ties a transfer's chunks
+	// together: every frame of one call carries the id the client drew
+	// for it. The connection preface travels on stream 0.
+	sid uint64
+	// trace and span are the caller's trace context on a request (the
+	// server's spans become children of span); zero trace = untraced.
+	trace, span uint64
+	// spans are the completed server-side span records riding back on
+	// the reply to a traced unary request.
+	spans []obs.SpanRecord
 }
 
-// WriteFrameV stamps the frame body with the connection's negotiated
-// protocol version, then writes it. Message encoders stamp version 1
-// by default (beginFrame), so this is how a v2 connection upgrades its
-// outgoing frames.
-func WriteFrameV(w io.Writer, body []byte, ver byte) error {
-	if len(body) > 0 && ver >= ProtoVersion {
-		body[0] = ver
-	}
-	return WriteFrame(w, body)
+// minFrame is the smallest well-formed frame body: version, three zero
+// header uvarints, an empty span section and the message type.
+const minFrame = 6
+
+func appendFrameHdr(buf []byte, ver byte, h *frameHdr) []byte {
+	buf = append(buf, ver)
+	buf = codec.AppendUvarint(buf, h.sid)
+	buf = codec.AppendUvarint(buf, h.trace)
+	buf = codec.AppendUvarint(buf, h.span)
+	return AppendSpanRecords(buf, h.spans)
 }
 
-// WriteFrameVec writes one frame whose body is the concatenation of
-// parts, without assembling them into a single buffer: the 4-byte
-// length prefix, every part, and (for v2+ versions) the CRC32C trailer
-// travel as one vectored write (writev on a *net.TCPConn via
-// net.Buffers, sequential writes elsewhere). The first part must start
-// with the version byte, which is restamped to ver; the checksum is
-// computed incrementally across parts, so a large data part is never
-// copied into a frame buffer just to be framed.
-func WriteFrameVec(w io.Writer, ver byte, parts ...[]byte) error {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	if n == 0 || len(parts[0]) == 0 {
-		return fmt.Errorf("rpc: vectored frame with empty leading part")
-	}
-	parts[0][0] = ver
+// writeFrame writes one frame as a single vectored write (writev on a
+// *net.TCPConn via net.Buffers, sequential writes elsewhere): the
+// 4-byte big-endian body length, the body — version byte, header,
+// then the message, which is the concatenation of parts — and the
+// CRC32C of the body. The checksum is computed incrementally across
+// parts, so a large data part is never copied into a frame buffer just
+// to be framed. It returns the bytes put on the wire.
+func writeFrame(w io.Writer, ver byte, h *frameHdr, parts ...[]byte) (int, error) {
+	// One allocation holds the length prefix, an untraced header and
+	// the trailer; span records make the header outgrow (and leave) it.
+	var scratch [44]byte
+	head := appendFrameHdr(scratch[:4:40], ver, h)
+	n := len(head) - 4
+	crc := crc32.Update(0, frameCastagnoli, head[4:])
 	bufs := make(net.Buffers, 0, len(parts)+2)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(n))
-	bufs = append(bufs, hdr[:])
+	bufs = append(bufs, head)
 	for _, p := range parts {
 		if len(p) > 0 {
+			n += len(p)
+			crc = crc32.Update(crc, frameCastagnoli, p)
 			bufs = append(bufs, p)
 		}
 	}
-	var sum [4]byte
-	if ver >= ProtoVersion2 {
-		crc := uint32(0)
-		for _, p := range parts {
-			crc = crc32.Update(crc, frameCastagnoli, p)
-		}
-		binary.BigEndian.PutUint32(sum[:], crc)
-		bufs = append(bufs, sum[:])
-	}
+	binary.BigEndian.PutUint32(head[:4], uint32(n))
+	sum := scratch[40:]
+	binary.BigEndian.PutUint32(sum, crc)
+	bufs = append(bufs, sum)
 	_, err := bufs.WriteTo(w)
+	return n + 8, err
+}
+
+// WriteFrameV writes msg (a type byte plus payload, as the Append*
+// encoders build it) as one untraced frame on stream 0, stamped with
+// protocol version ver.
+func WriteFrameV(w io.Writer, msg []byte, ver byte) error {
+	_, err := writeFrame(w, ver, &frameHdr{}, msg)
 	return err
 }
 
-// ReadFrame reads one frame body into a pooled buffer, verifying the
-// CRC32C trailer of v2 frames (a mismatch is ErrCorruptFrame). Callers
-// pass the body to putFrameBuf (or ReleaseFrame) when done with it.
+// ReadFrame reads one frame body into a pooled buffer and verifies its
+// CRC32C trailer (a mismatch is ErrCorruptFrame). Callers pass the
+// body to ReleaseFrame when done with it.
 func ReadFrame(r io.Reader, maxFrame int64) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -553,24 +497,21 @@ func ReadFrame(r io.Reader, maxFrame int64) ([]byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	if n < 2 || n > maxFrame {
-		return nil, fmt.Errorf("%w: frame length %d outside [2,%d]", ErrCorrupt, n, maxFrame)
+	if n < minFrame || n > maxFrame {
+		return nil, fmt.Errorf("%w: frame length %d outside [%d,%d]", ErrCorrupt, n, minFrame, maxFrame)
 	}
 	body := getFrameBuf(int(n))[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		putFrameBuf(body)
 		return nil, err
 	}
-	if body[0] >= ProtoVersion2 {
-		var sum [4]byte
-		if _, err := io.ReadFull(r, sum[:]); err != nil {
-			putFrameBuf(body)
-			return nil, err
-		}
-		if binary.BigEndian.Uint32(sum[:]) != FrameChecksum(body) {
-			putFrameBuf(body)
-			return nil, ErrCorruptFrame
-		}
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		putFrameBuf(body)
+		return nil, err
+	}
+	if binary.BigEndian.Uint32(hdr[:]) != FrameChecksum(body) {
+		putFrameBuf(body)
+		return nil, ErrCorruptFrame
 	}
 	return body, nil
 }
@@ -579,21 +520,44 @@ func ReadFrame(r io.Reader, maxFrame int64) ([]byte, error) {
 // buffer pool.
 func ReleaseFrame(body []byte) { putFrameBuf(body) }
 
-// ParseFrame splits a frame body into message type and payload,
-// checking the protocol version.
-func ParseFrame(body []byte) (msgType byte, payload []byte, err error) {
-	if len(body) < 2 {
-		return 0, nil, fmt.Errorf("%w: %d-byte body", ErrCorrupt, len(body))
+// parseFrame splits a frame body into its header, message type and
+// payload, checking the protocol version. The views alias body.
+func parseFrame(body []byte) (h frameHdr, msgType byte, payload []byte, err error) {
+	if len(body) < minFrame {
+		return h, 0, nil, fmt.Errorf("%w: %d-byte body", ErrCorrupt, len(body))
 	}
-	if body[0] < ProtoVersion || body[0] > MaxProtoVersion {
-		return 0, nil, fmt.Errorf("%w: protocol version %d, want %d-%d", ErrCorrupt, body[0], ProtoVersion, MaxProtoVersion)
+	if body[0] != MaxProtoVersion {
+		return h, 0, nil, fmt.Errorf("%w: protocol version %d, want %d", ErrCorrupt, body[0], MaxProtoVersion)
 	}
-	return body[1], body[2:], nil
+	rest := body[1:]
+	if h.sid, rest, err = readUvarint(rest); err != nil {
+		return h, 0, nil, err
+	}
+	if h.trace, rest, err = readUvarint(rest); err != nil {
+		return h, 0, nil, err
+	}
+	if h.span, rest, err = readUvarint(rest); err != nil {
+		return h, 0, nil, err
+	}
+	if h.spans, rest, err = ReadSpanRecords(rest); err != nil {
+		return h, 0, nil, err
+	}
+	if len(rest) < 1 {
+		return h, 0, nil, fmt.Errorf("%w: frame without a message", ErrCorrupt)
+	}
+	return h, rest[0], rest[1:], nil
 }
 
-// beginFrame starts a frame body of the given type in buf.
-func beginFrame(buf []byte, msgType byte) []byte {
-	return append(buf, ProtoVersion, msgType)
+// ParseFrame splits a frame body into message type and payload,
+// checking the protocol version and skipping the routing header.
+func ParseFrame(body []byte) (msgType byte, payload []byte, err error) {
+	_, msgType, payload, err = parseFrame(body)
+	return msgType, payload, err
+}
+
+// beginMsg starts a message of the given type in buf.
+func beginMsg(buf []byte, msgType byte) []byte {
+	return append(buf, msgType)
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -652,16 +616,14 @@ type CreateFileReq struct {
 	Phys     []byte // codec.EncodeFile of the physical partition
 	Subfiles []int  // subfile indices hosted by the receiving node
 	Reopen   bool   // open existing subfiles without truncation
-	// Epoch stamps the opened stores with a placement epoch. Zero (the
-	// default) encodes byte-identically to the pre-placement request
-	// and leaves the stores unversioned. Only sent to peers that
-	// granted FeaturePlacement.
+	// Epoch stamps the opened stores with a placement epoch; zero
+	// leaves them unversioned.
 	Epoch uint64
 }
 
-// AppendCreateFile encodes req as a frame body.
+// AppendCreateFile encodes req as a message.
 func AppendCreateFile(buf []byte, req *CreateFileReq) []byte {
-	buf = beginFrame(buf, MsgCreateFile)
+	buf = beginMsg(buf, MsgCreateFile)
 	buf = appendString(buf, req.Name)
 	buf = appendBytes(buf, req.Phys)
 	buf = codec.AppendUvarint(buf, uint64(len(req.Subfiles)))
@@ -673,10 +635,7 @@ func AppendCreateFile(buf []byte, req *CreateFileReq) []byte {
 	} else {
 		buf = append(buf, 0)
 	}
-	if req.Epoch != 0 {
-		buf = codec.AppendUvarint(buf, req.Epoch)
-	}
-	return buf
+	return codec.AppendUvarint(buf, req.Epoch)
 }
 
 // DecodeCreateFile decodes a MsgCreateFile payload.
@@ -710,11 +669,8 @@ func DecodeCreateFile(payload []byte) (*CreateFileReq, error) {
 		return nil, fmt.Errorf("%w: missing reopen flag", ErrCorrupt)
 	}
 	req.Reopen = payload[0] != 0
-	payload = payload[1:]
-	if len(payload) > 0 {
-		if req.Epoch, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
+	if req.Epoch, payload, err = readUvarint(payload[1:]); err != nil {
+		return nil, err
 	}
 	return req, wantEmpty(payload)
 }
@@ -727,9 +683,9 @@ type SetViewReq struct {
 	Proj        []byte // redist.EncodeProjection
 }
 
-// AppendSetView encodes req as a frame body.
+// AppendSetView encodes req as a message.
 func AppendSetView(buf []byte, req *SetViewReq) []byte {
-	buf = beginFrame(buf, MsgSetView)
+	buf = beginMsg(buf, MsgSetView)
 	buf = codec.AppendUvarint(buf, req.Fingerprint)
 	buf = appendBytes(buf, req.Proj)
 	return buf
@@ -762,25 +718,28 @@ type WriteSegsReq struct {
 	Lo, Hi      int64
 	Data        []byte
 	// Epoch is the placement epoch the client believes current; the
-	// server rejects a mismatch with ErrCodeStalePlacement. Zero (the
-	// default) encodes byte-identically to the pre-placement request
-	// and skips the check.
+	// server rejects a mismatch with ErrCodeStalePlacement. Zero is an
+	// unstamped request and skips the check.
 	Epoch uint64
 }
 
-// AppendWriteSegs encodes req as a frame body.
-func AppendWriteSegs(buf []byte, req *WriteSegsReq) []byte {
-	buf = beginFrame(buf, MsgWriteSegs)
+// appendWriteSegsHead encodes req up to, and not including, the bytes
+// of Data, which end the message: the client sends them as their own
+// part of the vectored frame write instead of copying them here.
+func appendWriteSegsHead(buf []byte, req *WriteSegsReq) []byte {
+	buf = beginMsg(buf, MsgWriteSegs)
 	buf = appendString(buf, req.File)
 	buf = codec.AppendVarint(buf, req.Subfile)
 	buf = codec.AppendUvarint(buf, req.Fingerprint)
 	buf = codec.AppendVarint(buf, req.Lo)
 	buf = codec.AppendVarint(buf, req.Hi)
-	buf = appendBytes(buf, req.Data)
-	if req.Epoch != 0 {
-		buf = codec.AppendUvarint(buf, req.Epoch)
-	}
-	return buf
+	buf = codec.AppendUvarint(buf, req.Epoch)
+	return codec.AppendUvarint(buf, uint64(len(req.Data)))
+}
+
+// AppendWriteSegs encodes req as a message.
+func AppendWriteSegs(buf []byte, req *WriteSegsReq) []byte {
+	return append(appendWriteSegsHead(buf, req), req.Data...)
 }
 
 // DecodeWriteSegs decodes a MsgWriteSegs payload. Data aliases the
@@ -804,13 +763,11 @@ func DecodeWriteSegs(payload []byte) (*WriteSegsReq, error) {
 	if req.Hi, payload, err = readVarint(payload); err != nil {
 		return nil, err
 	}
-	if req.Data, payload, err = readBytes(payload); err != nil {
+	if req.Epoch, payload, err = readUvarint(payload); err != nil {
 		return nil, err
 	}
-	if len(payload) > 0 {
-		if req.Epoch, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
+	if req.Data, payload, err = readBytes(payload); err != nil {
+		return nil, err
 	}
 	return req, wantEmpty(payload)
 }
@@ -825,23 +782,20 @@ type ReadSegsReq struct {
 	Fingerprint uint64
 	Lo, Hi      int64
 	N           int64
-	// Epoch as on WriteSegsReq: zero encodes the legacy bytes.
+	// Epoch as on WriteSegsReq.
 	Epoch uint64
 }
 
-// AppendReadSegs encodes req as a frame body.
+// AppendReadSegs encodes req as a message.
 func AppendReadSegs(buf []byte, req *ReadSegsReq) []byte {
-	buf = beginFrame(buf, MsgReadSegs)
+	buf = beginMsg(buf, MsgReadSegs)
 	buf = appendString(buf, req.File)
 	buf = codec.AppendVarint(buf, req.Subfile)
 	buf = codec.AppendUvarint(buf, req.Fingerprint)
 	buf = codec.AppendVarint(buf, req.Lo)
 	buf = codec.AppendVarint(buf, req.Hi)
 	buf = codec.AppendVarint(buf, req.N)
-	if req.Epoch != 0 {
-		buf = codec.AppendUvarint(buf, req.Epoch)
-	}
-	return buf
+	return codec.AppendUvarint(buf, req.Epoch)
 }
 
 // DecodeReadSegs decodes a MsgReadSegs payload.
@@ -866,10 +820,8 @@ func DecodeReadSegs(payload []byte) (*ReadSegsReq, error) {
 	if req.N, payload, err = readVarint(payload); err != nil {
 		return nil, err
 	}
-	if len(payload) > 0 {
-		if req.Epoch, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
+	if req.Epoch, payload, err = readUvarint(payload); err != nil {
+		return nil, err
 	}
 	return req, wantEmpty(payload)
 }
@@ -880,9 +832,9 @@ type StatReq struct {
 	Subfile int64
 }
 
-// AppendStat encodes req as a frame body.
+// AppendStat encodes req as a message.
 func AppendStat(buf []byte, req *StatReq) []byte {
-	buf = beginFrame(buf, MsgStat)
+	buf = beginMsg(buf, MsgStat)
 	buf = appendString(buf, req.File)
 	buf = codec.AppendVarint(buf, req.Subfile)
 	return buf
@@ -905,21 +857,20 @@ func DecodeStat(payload []byte) (*StatReq, error) {
 // node. Closing an unknown file succeeds (idempotent, retry-safe).
 // With Remove set, the node also deletes the stores' backing data —
 // the rebalance driver's garbage collection of superseded name@epoch
-// stores. Remove travels as an optional trailing flag byte, only when
-// set, so the legacy encoding is untouched.
+// stores.
 type CloseReq struct {
 	File   string
 	Remove bool
 }
 
-// AppendClose encodes req as a frame body.
+// AppendClose encodes req as a message.
 func AppendClose(buf []byte, req *CloseReq) []byte {
-	buf = beginFrame(buf, MsgClose)
+	buf = beginMsg(buf, MsgClose)
 	buf = appendString(buf, req.File)
 	if req.Remove {
-		buf = append(buf, 1)
+		return append(buf, 1)
 	}
-	return buf
+	return append(buf, 0)
 }
 
 // DecodeClose decodes a MsgClose payload.
@@ -929,23 +880,29 @@ func DecodeClose(payload []byte) (*CloseReq, error) {
 	if req.File, payload, err = readString(payload); err != nil {
 		return nil, err
 	}
-	if len(payload) > 0 {
-		req.Remove = payload[0] != 0
-		payload = payload[1:]
+	if len(payload) < 1 {
+		return nil, fmt.Errorf("%w: missing remove flag", ErrCorrupt)
 	}
-	return req, wantEmpty(payload)
+	req.Remove = payload[0] != 0
+	return req, wantEmpty(payload[1:])
 }
 
 // AppendPing encodes the empty liveness probe.
-func AppendPing(buf []byte) []byte { return beginFrame(buf, MsgPing) }
+func AppendPing(buf []byte) []byte { return beginMsg(buf, MsgPing) }
 
 // AppendOK encodes the empty success response.
-func AppendOK(buf []byte) []byte { return beginFrame(buf, MsgOK) }
+func AppendOK(buf []byte) []byte { return beginMsg(buf, MsgOK) }
+
+// appendDataHead begins a payload-carrying success response of n data
+// bytes, which the caller appends (or gathers in place) behind it.
+func appendDataHead(buf []byte, n int) []byte {
+	buf = beginMsg(buf, MsgData)
+	return codec.AppendUvarint(buf, uint64(n))
+}
 
 // AppendData encodes a payload-carrying success response.
 func AppendData(buf, data []byte) []byte {
-	buf = beginFrame(buf, MsgData)
-	return appendBytes(buf, data)
+	return append(appendDataHead(buf, len(data)), data...)
 }
 
 // DecodeData decodes a MsgData payload. The returned bytes alias the
@@ -960,7 +917,7 @@ func DecodeData(payload []byte) ([]byte, error) {
 
 // AppendStatResp encodes a Stat response.
 func AppendStatResp(buf []byte, length int64) []byte {
-	buf = beginFrame(buf, MsgStatResp)
+	buf = beginMsg(buf, MsgStatResp)
 	return codec.AppendVarint(buf, length)
 }
 
@@ -973,115 +930,24 @@ func DecodeStatResp(payload []byte) (int64, error) {
 	return n, wantEmpty(payload)
 }
 
-// AppendHello encodes the version-negotiation request: the newest
-// protocol generation the client speaks.
-func AppendHello(buf []byte, want byte) []byte {
-	return AppendHelloFeatures(buf, want, 0)
+// AppendHello encodes the connection preface: the protocol version
+// the client speaks and its fair-share tenant (empty = default class).
+func AppendHello(buf []byte, ver byte, tenant string) []byte {
+	buf = beginMsg(buf, MsgHello)
+	buf = append(buf, ver)
+	return appendString(buf, tenant)
 }
 
-// AppendHelloFeatures encodes the negotiation request with a feature
-// bitmask. A zero mask appends nothing, keeping the request
-// byte-identical to the pre-feature encoding — old daemons reject a
-// trailing field they do not know, so a client only grows the frame
-// when it actually wants a feature.
-func AppendHelloFeatures(buf []byte, want byte, features uint64) []byte {
-	return AppendHelloTenant(buf, want, features, "")
-}
-
-// AppendHelloTenant encodes the negotiation request with a feature
-// bitmask and, when FeatureTenant is set, the tenant name trailing it.
-func AppendHelloTenant(buf []byte, want byte, features uint64, tenant string) []byte {
-	buf = beginFrame(buf, MsgHello)
-	buf = codec.AppendUvarint(buf, uint64(want))
-	if features != 0 {
-		buf = codec.AppendUvarint(buf, features)
+// DecodeHello decodes a MsgHello payload.
+func DecodeHello(payload []byte) (ver byte, tenant string, err error) {
+	if len(payload) < 1 {
+		return 0, "", fmt.Errorf("%w: hello without version byte", ErrCorrupt)
 	}
-	if features&FeatureTenant != 0 {
-		buf = appendString(buf, tenant)
+	ver = payload[0]
+	if tenant, payload, err = readString(payload[1:]); err != nil {
+		return 0, "", err
 	}
-	return buf
-}
-
-// DecodeHello decodes a MsgHello payload (features discarded).
-func DecodeHello(payload []byte) (byte, error) {
-	v, _, err := DecodeHelloFeatures(payload)
-	return v, err
-}
-
-// DecodeHelloFeatures decodes a MsgHello payload (tenant discarded).
-func DecodeHelloFeatures(payload []byte) (byte, uint64, error) {
-	v, f, _, err := DecodeHelloTenant(payload)
-	return v, f, err
-}
-
-// DecodeHelloTenant decodes a MsgHello payload. An absent features
-// field decodes as zero, so pre-feature clients parse unchanged; the
-// tenant string is present exactly when FeatureTenant is set.
-func DecodeHelloTenant(payload []byte) (byte, uint64, string, error) {
-	v, payload, err := readUvarint(payload)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	if v < 1 || v > 255 {
-		return 0, 0, "", fmt.Errorf("%w: implausible protocol version %d", ErrCorrupt, v)
-	}
-	var features uint64
-	if len(payload) > 0 {
-		if features, payload, err = readUvarint(payload); err != nil {
-			return 0, 0, "", err
-		}
-	}
-	var tenant string
-	if features&FeatureTenant != 0 {
-		if tenant, payload, err = readString(payload); err != nil {
-			return 0, 0, "", err
-		}
-	}
-	return byte(v), features, tenant, wantEmpty(payload)
-}
-
-// AppendHelloResp encodes the agreed protocol version.
-func AppendHelloResp(buf []byte, ver byte) []byte {
-	return AppendHelloRespFeatures(buf, ver, 0)
-}
-
-// AppendHelloRespFeatures encodes the agreed version plus the feature
-// bits the server both understands and saw requested. As with the
-// request, a zero mask appends nothing — a client that did not ask
-// for features gets the byte-identical legacy response.
-func AppendHelloRespFeatures(buf []byte, ver byte, features uint64) []byte {
-	buf = beginFrame(buf, MsgHelloResp)
-	buf = codec.AppendUvarint(buf, uint64(ver))
-	if features != 0 {
-		buf = codec.AppendUvarint(buf, features)
-	}
-	return buf
-}
-
-// DecodeHelloResp decodes a MsgHelloResp payload (features
-// discarded).
-func DecodeHelloResp(payload []byte) (byte, error) {
-	v, _, err := DecodeHelloRespFeatures(payload)
-	return v, err
-}
-
-// DecodeHelloRespFeatures decodes a MsgHelloResp payload; an absent
-// features field decodes as zero.
-func DecodeHelloRespFeatures(payload []byte) (byte, uint64, error) {
-	v, payload, err := readUvarint(payload)
-	if err != nil {
-		return 0, 0, err
-	}
-	if v < 1 || v > 255 {
-		return 0, 0, fmt.Errorf("%w: implausible protocol version %d", ErrCorrupt, v)
-	}
-	var features uint64
-	if len(payload) > 0 {
-		if features, payload, err = readUvarint(payload); err != nil {
-			return 0, 0, err
-		}
-	}
-	return byte(v), features, wantEmpty(payload)
+	return ver, tenant, wantEmpty(payload)
 }
 
 // ChecksumReq asks for the CRC32C of subfile bytes [Off, Off+N); bytes
@@ -1092,9 +958,9 @@ type ChecksumReq struct {
 	Off, N  int64
 }
 
-// AppendChecksum encodes req as a frame body.
+// AppendChecksum encodes req as a message.
 func AppendChecksum(buf []byte, req *ChecksumReq) []byte {
-	buf = beginFrame(buf, MsgChecksum)
+	buf = beginMsg(buf, MsgChecksum)
 	buf = appendString(buf, req.File)
 	buf = codec.AppendVarint(buf, req.Subfile)
 	buf = codec.AppendVarint(buf, req.Off)
@@ -1123,7 +989,7 @@ func DecodeChecksum(payload []byte) (*ChecksumReq, error) {
 
 // AppendChecksumResp encodes a Checksum response.
 func AppendChecksumResp(buf []byte, sum uint32) []byte {
-	buf = beginFrame(buf, MsgChecksumResp)
+	buf = beginMsg(buf, MsgChecksumResp)
 	return codec.AppendUvarint(buf, uint64(sum))
 }
 
@@ -1139,43 +1005,27 @@ func DecodeChecksumResp(payload []byte) (uint32, error) {
 	return uint32(v), wantEmpty(payload)
 }
 
-// AppendError encodes an error response.
+// AppendError encodes an error response without hints.
 func AppendError(buf []byte, code uint64, msg string) []byte {
-	return AppendErrorRetry(buf, code, msg, 0)
-}
-
-// AppendErrorRetry encodes an error response with a retry-after hint.
-// A zero hint appends nothing, so pre-overload peers decode the
-// byte-identical legacy payload; a nonzero hint travels as trailing
-// uvarint milliseconds (sub-millisecond hints round up to 1ms so the
-// hint survives the wire).
-func AppendErrorRetry(buf []byte, code uint64, msg string, retryAfter time.Duration) []byte {
-	return AppendErrorLeader(buf, code, msg, retryAfter, "")
+	return AppendErrorLeader(buf, code, msg, 0, "")
 }
 
 // AppendErrorLeader encodes an error response with a retry-after hint
-// and a leader redirect hint. A non-empty leader forces the retry
-// uvarint onto the wire (zero included) so the two trailing optional
-// fields stay unambiguous; both empty reproduces the legacy bytes.
+// (uvarint milliseconds; sub-millisecond hints round up to 1ms so the
+// hint survives the wire) and a leader redirect hint.
 func AppendErrorLeader(buf []byte, code uint64, msg string, retryAfter time.Duration, leader string) []byte {
-	buf = beginFrame(buf, MsgError)
+	buf = beginMsg(buf, MsgError)
 	buf = codec.AppendUvarint(buf, code)
 	buf = appendString(buf, msg)
-	if retryAfter > 0 || leader != "" {
-		ms := uint64(retryAfter.Milliseconds())
-		if ms == 0 && retryAfter > 0 {
-			ms = 1
-		}
-		buf = codec.AppendUvarint(buf, ms)
+	ms := uint64(retryAfter.Milliseconds())
+	if ms == 0 && retryAfter > 0 {
+		ms = 1
 	}
-	if leader != "" {
-		buf = appendString(buf, leader)
-	}
-	return buf
+	buf = codec.AppendUvarint(buf, ms)
+	return appendString(buf, leader)
 }
 
-// DecodeError decodes a MsgError payload. Absent retry-after and
-// leader fields decode as zero values.
+// DecodeError decodes a MsgError payload.
 func DecodeError(payload []byte) (*RemoteError, error) {
 	e := &RemoteError{}
 	var err error
@@ -1185,50 +1035,24 @@ func DecodeError(payload []byte) (*RemoteError, error) {
 	if e.Msg, payload, err = readString(payload); err != nil {
 		return nil, err
 	}
-	if len(payload) > 0 {
-		var ms uint64
-		if ms, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
-		e.RetryAfter = time.Duration(ms) * time.Millisecond
+	var ms uint64
+	if ms, payload, err = readUvarint(payload); err != nil {
+		return nil, err
 	}
-	if len(payload) > 0 {
-		if e.Leader, payload, err = readString(payload); err != nil {
-			return nil, err
-		}
+	e.RetryAfter = time.Duration(ms) * time.Millisecond
+	if e.Leader, payload, err = readString(payload); err != nil {
+		return nil, err
 	}
 	return e, wantEmpty(payload)
 }
 
-// --- proto v3: multiplexed streams ---
-//
-// On a v3 connection every frame body is [version][type][uvarint
-// stream id][payload]. Unary requests reuse their v1/v2 payload
-// encodings unchanged past the stream id; the chunked-transfer
-// messages below exist only inside v3 streams.
+// --- chunked transfers ---
 
-// appendStreamHdr begins a v3 frame body: version, type, stream id.
-func appendStreamHdr(buf []byte, msgType byte, sid uint64) []byte {
-	buf = append(buf, ProtoVersion3, msgType)
-	return codec.AppendUvarint(buf, sid)
-}
+// A chunk message (MsgWriteChunk or MsgDataChunk) is [type][flags]
+// followed by the chunk's data, which travels as its own part of the
+// vectored frame write and is never copied into a message buffer.
 
-// splitStreamFrame splits a v3 frame body past ParseFrame into its
-// stream id and remaining payload.
-func splitStreamFrame(payload []byte) (uint64, []byte, error) {
-	return readUvarint(payload)
-}
-
-// appendChunkHdr begins a chunk frame body (MsgWriteChunk or
-// MsgDataChunk): the chunk's data is appended by the vectored writer,
-// never copied into this buffer.
-func appendChunkHdr(buf []byte, msgType byte, sid uint64, flags byte) []byte {
-	buf = appendStreamHdr(buf, msgType, sid)
-	return append(buf, flags)
-}
-
-// splitChunk splits a chunk payload (past the stream id) into its
-// flags byte and data.
+// splitChunk splits a chunk payload into its flags byte and data.
 func splitChunk(payload []byte) (flags byte, data []byte, err error) {
 	if len(payload) < 1 {
 		return 0, nil, fmt.Errorf("%w: chunk without flags byte", ErrCorrupt)
@@ -1245,38 +1069,23 @@ type WriteStreamReq struct {
 	Fingerprint uint64
 	Lo, Hi      int64
 	Total       int64
-	// TraceID/SpanID tie the stream into a distributed trace; both
-	// zero (the default) encodes byte-identically to the pre-tracing
-	// request. Only sent to peers that advertised FeatureTrace.
-	TraceID uint64
-	SpanID  uint64
-	// Epoch as on WriteSegsReq. A non-zero epoch forces the trace pair
-	// onto the wire (zeros if untraced) so the decoder can tell the
-	// trailing fields apart; only sent to FeaturePlacement peers.
+	// Epoch as on WriteSegsReq.
 	Epoch uint64
 }
 
-// AppendWriteStream encodes req as a v3 frame body on stream sid.
-func AppendWriteStream(buf []byte, sid uint64, req *WriteStreamReq) []byte {
-	buf = appendStreamHdr(buf, MsgWriteStream, sid)
+// AppendWriteStream encodes req as a message.
+func AppendWriteStream(buf []byte, req *WriteStreamReq) []byte {
+	buf = beginMsg(buf, MsgWriteStream)
 	buf = appendString(buf, req.File)
 	buf = codec.AppendVarint(buf, req.Subfile)
 	buf = codec.AppendUvarint(buf, req.Fingerprint)
 	buf = codec.AppendVarint(buf, req.Lo)
 	buf = codec.AppendVarint(buf, req.Hi)
 	buf = codec.AppendVarint(buf, req.Total)
-	if req.TraceID != 0 || req.Epoch != 0 {
-		buf = codec.AppendUvarint(buf, req.TraceID)
-		buf = codec.AppendUvarint(buf, req.SpanID)
-	}
-	if req.Epoch != 0 {
-		buf = codec.AppendUvarint(buf, req.Epoch)
-	}
-	return buf
+	return codec.AppendUvarint(buf, req.Epoch)
 }
 
-// DecodeWriteStream decodes a MsgWriteStream payload (past the stream
-// id).
+// DecodeWriteStream decodes a MsgWriteStream payload.
 func DecodeWriteStream(payload []byte) (*WriteStreamReq, error) {
 	req := &WriteStreamReq{}
 	var err error
@@ -1298,18 +1107,8 @@ func DecodeWriteStream(payload []byte) (*WriteStreamReq, error) {
 	if req.Total, payload, err = readVarint(payload); err != nil {
 		return nil, err
 	}
-	if len(payload) > 0 {
-		if req.TraceID, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
-		if req.SpanID, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
-	}
-	if len(payload) > 0 {
-		if req.Epoch, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
+	if req.Epoch, payload, err = readUvarint(payload); err != nil {
+		return nil, err
 	}
 	return req, wantEmpty(payload)
 }
@@ -1324,17 +1123,13 @@ type ReadStreamReq struct {
 	Lo, Hi      int64
 	N           int64
 	ChunkSize   int64
-	// TraceID/SpanID as on WriteStreamReq: zero encodes the legacy
-	// bytes, non-zero only travels to FeatureTrace peers.
-	TraceID uint64
-	SpanID  uint64
-	// Epoch as on WriteStreamReq: forces the trace pair when set.
+	// Epoch as on WriteSegsReq.
 	Epoch uint64
 }
 
-// AppendReadStream encodes req as a v3 frame body on stream sid.
-func AppendReadStream(buf []byte, sid uint64, req *ReadStreamReq) []byte {
-	buf = appendStreamHdr(buf, MsgReadStream, sid)
+// AppendReadStream encodes req as a message.
+func AppendReadStream(buf []byte, req *ReadStreamReq) []byte {
+	buf = beginMsg(buf, MsgReadStream)
 	buf = appendString(buf, req.File)
 	buf = codec.AppendVarint(buf, req.Subfile)
 	buf = codec.AppendUvarint(buf, req.Fingerprint)
@@ -1342,18 +1137,10 @@ func AppendReadStream(buf []byte, sid uint64, req *ReadStreamReq) []byte {
 	buf = codec.AppendVarint(buf, req.Hi)
 	buf = codec.AppendVarint(buf, req.N)
 	buf = codec.AppendVarint(buf, req.ChunkSize)
-	if req.TraceID != 0 || req.Epoch != 0 {
-		buf = codec.AppendUvarint(buf, req.TraceID)
-		buf = codec.AppendUvarint(buf, req.SpanID)
-	}
-	if req.Epoch != 0 {
-		buf = codec.AppendUvarint(buf, req.Epoch)
-	}
-	return buf
+	return codec.AppendUvarint(buf, req.Epoch)
 }
 
-// DecodeReadStream decodes a MsgReadStream payload (past the stream
-// id).
+// DecodeReadStream decodes a MsgReadStream payload.
 func DecodeReadStream(payload []byte) (*ReadStreamReq, error) {
 	req := &ReadStreamReq{}
 	var err error
@@ -1378,23 +1165,13 @@ func DecodeReadStream(payload []byte) (*ReadStreamReq, error) {
 	if req.ChunkSize, payload, err = readVarint(payload); err != nil {
 		return nil, err
 	}
-	if len(payload) > 0 {
-		if req.TraceID, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
-		if req.SpanID, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
-	}
-	if len(payload) > 0 {
-		if req.Epoch, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
+	if req.Epoch, payload, err = readUvarint(payload); err != nil {
+		return nil, err
 	}
 	return req, wantEmpty(payload)
 }
 
-// --- tracing extension: span records, the traced envelope, drains ---
+// --- tracing: span records (frame header section and drains) ---
 
 // maxSpanRecords bounds a decoded record batch: no legitimate op tree
 // is deeper or wider than this, and the cap stops a corrupt count
@@ -1465,6 +1242,9 @@ func ReadSpanRecords(payload []byte) ([]obs.SpanRecord, []byte, error) {
 	if n > maxSpanRecords {
 		return nil, nil, fmt.Errorf("%w: implausible span record count %d", ErrCorrupt, n)
 	}
+	if n == 0 {
+		return nil, payload, nil
+	}
 	recs := make([]obs.SpanRecord, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var r obs.SpanRecord
@@ -1476,56 +1256,9 @@ func ReadSpanRecords(payload []byte) ([]obs.SpanRecord, []byte, error) {
 	return recs, payload, nil
 }
 
-// AppendTracedHdr begins a MsgTraced envelope; the caller appends the
-// inner request's type byte and payload after it.
-func AppendTracedHdr(buf []byte, traceID, parent uint64) []byte {
-	buf = beginFrame(buf, MsgTraced)
-	buf = codec.AppendUvarint(buf, traceID)
-	return codec.AppendUvarint(buf, parent)
-}
-
-// DecodeTraced splits a MsgTraced payload into the trace identifiers
-// and the inner request (type + payload, aliasing the input).
-func DecodeTraced(payload []byte) (traceID, parent uint64, innerType byte, inner []byte, err error) {
-	if traceID, payload, err = readUvarint(payload); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	if parent, payload, err = readUvarint(payload); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	if traceID == 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: traced envelope without trace id", ErrCorrupt)
-	}
-	if len(payload) < 1 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: traced envelope without inner request", ErrCorrupt)
-	}
-	return traceID, parent, payload[0], payload[1:], nil
-}
-
-// AppendTracedResp wraps a complete inner response frame body (as
-// produced by the Append* response builders: [ver][type][payload])
-// into a MsgTracedResp envelope carrying the server's span records.
-func AppendTracedResp(buf []byte, recs []obs.SpanRecord, inner []byte) []byte {
-	buf = beginFrame(buf, MsgTracedResp)
-	buf = AppendSpanRecords(buf, recs)
-	return append(buf, inner[1:]...) // drop the inner version byte
-}
-
-// DecodeTracedResp splits a MsgTracedResp payload into the span
-// records and the inner response (type + payload, aliasing input).
-func DecodeTracedResp(payload []byte) (recs []obs.SpanRecord, innerType byte, inner []byte, err error) {
-	if recs, payload, err = ReadSpanRecords(payload); err != nil {
-		return nil, 0, nil, err
-	}
-	if len(payload) < 1 {
-		return nil, 0, nil, fmt.Errorf("%w: traced response without inner response", ErrCorrupt)
-	}
-	return recs, payload[0], payload[1:], nil
-}
-
 // AppendSpansReq encodes a MsgSpans drain request.
 func AppendSpansReq(buf []byte, traceID uint64) []byte {
-	buf = beginFrame(buf, MsgSpans)
+	buf = beginMsg(buf, MsgSpans)
 	return codec.AppendUvarint(buf, traceID)
 }
 
@@ -1540,7 +1273,7 @@ func DecodeSpansReq(payload []byte) (uint64, error) {
 
 // AppendSpansResp encodes the drained records.
 func AppendSpansResp(buf []byte, recs []obs.SpanRecord) []byte {
-	buf = beginFrame(buf, MsgSpansResp)
+	buf = beginMsg(buf, MsgSpansResp)
 	return AppendSpanRecords(buf, recs)
 }
 

@@ -153,9 +153,9 @@ type EpochReq struct {
 	Fence bool
 }
 
-// AppendEpoch encodes req as a frame body.
+// AppendEpoch encodes req as a message.
 func AppendEpoch(buf []byte, req *EpochReq) []byte {
-	buf = beginFrame(buf, MsgEpoch)
+	buf = beginMsg(buf, MsgEpoch)
 	buf = appendString(buf, req.File)
 	buf = codec.AppendUvarint(buf, req.Epoch)
 	if req.Fence {
@@ -189,9 +189,9 @@ type MetaCreateReq struct {
 	Replication int
 }
 
-// AppendMetaCreate encodes req as a frame body.
+// AppendMetaCreate encodes req as a message.
 func AppendMetaCreate(buf []byte, req *MetaCreateReq) []byte {
-	buf = beginFrame(buf, MsgMetaCreate)
+	buf = beginMsg(buf, MsgMetaCreate)
 	buf = appendString(buf, req.Name)
 	buf = codec.AppendVarint(buf, req.StripeBytes)
 	return codec.AppendUvarint(buf, uint64(req.Replication))
@@ -218,7 +218,7 @@ func DecodeMetaCreate(payload []byte) (*MetaCreateReq, error) {
 // AppendMetaName encodes a name-only request (MsgMetaOpen or
 // MsgMetaRemove).
 func AppendMetaName(buf []byte, msgType byte, name string) []byte {
-	buf = beginFrame(buf, msgType)
+	buf = beginMsg(buf, msgType)
 	return appendString(buf, name)
 }
 
@@ -244,14 +244,14 @@ type MetaCommitReq struct {
 	// NewEpoch is the exact epoch the driver stamped into the daemon
 	// stores it staged the data on; the service records it verbatim so
 	// the namespace and the data plane agree. It must exceed OldEpoch
-	// and clear the service's current term floor. Zero (the legacy
-	// encoding) lets the service pick OldEpoch+1 raised to the floor.
+	// and clear the service's current term floor. Zero lets the
+	// service pick OldEpoch+1 raised to the floor.
 	NewEpoch uint64
 }
 
-// AppendMetaCommit encodes req as a frame body.
+// AppendMetaCommit encodes req as a message.
 func AppendMetaCommit(buf []byte, req *MetaCommitReq) []byte {
-	buf = beginFrame(buf, MsgMetaCommit)
+	buf = beginMsg(buf, MsgMetaCommit)
 	buf = appendString(buf, req.Name)
 	buf = codec.AppendUvarint(buf, req.OldEpoch)
 	buf = appendString(buf, req.StoreName)
@@ -263,10 +263,7 @@ func AppendMetaCommit(buf []byte, req *MetaCommitReq) []byte {
 	for _, a := range req.Assign {
 		buf = codec.AppendUvarint(buf, uint64(a))
 	}
-	if req.NewEpoch != 0 {
-		buf = codec.AppendUvarint(buf, req.NewEpoch)
-	}
-	return buf
+	return codec.AppendUvarint(buf, req.NewEpoch)
 }
 
 // DecodeMetaCommit decodes a MsgMetaCommit payload.
@@ -311,10 +308,8 @@ func DecodeMetaCommit(payload []byte) (*MetaCommitReq, error) {
 		}
 		req.Assign = append(req.Assign, int(a))
 	}
-	if len(payload) > 0 {
-		if req.NewEpoch, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
+	if req.NewEpoch, payload, err = readUvarint(payload); err != nil {
+		return nil, err
 	}
 	return req, wantEmpty(payload)
 }
@@ -325,9 +320,9 @@ type MetaExtendReq struct {
 	Length int64
 }
 
-// AppendMetaExtend encodes req as a frame body.
+// AppendMetaExtend encodes req as a message.
 func AppendMetaExtend(buf []byte, req *MetaExtendReq) []byte {
-	buf = beginFrame(buf, MsgMetaExtend)
+	buf = beginMsg(buf, MsgMetaExtend)
 	buf = appendString(buf, req.Name)
 	return codec.AppendVarint(buf, req.Length)
 }
@@ -353,7 +348,7 @@ type MetaNode struct {
 
 // AppendMetaNodeReq encodes a MsgMetaNode registration/state change.
 func AppendMetaNodeReq(buf []byte, node *MetaNode) []byte {
-	buf = beginFrame(buf, MsgMetaNode)
+	buf = beginMsg(buf, MsgMetaNode)
 	buf = appendString(buf, node.Addr)
 	return append(buf, node.State)
 }
@@ -375,12 +370,12 @@ func DecodeMetaNodeReq(payload []byte) (*MetaNode, error) {
 // AppendMetaEmpty encodes a bodyless metadata request (MsgMetaList or
 // MsgMetaNodes).
 func AppendMetaEmpty(buf []byte, msgType byte) []byte {
-	return beginFrame(buf, msgType)
+	return beginMsg(buf, msgType)
 }
 
 // AppendMetaFileResp encodes a MsgMetaFileResp.
 func AppendMetaFileResp(buf []byte, f *MetaFile) []byte {
-	buf = beginFrame(buf, MsgMetaFileResp)
+	buf = beginMsg(buf, MsgMetaFileResp)
 	return AppendMetaFile(buf, f)
 }
 
@@ -395,7 +390,7 @@ func DecodeMetaFileResp(payload []byte) (*MetaFile, error) {
 
 // AppendMetaListResp encodes a MsgMetaListResp.
 func AppendMetaListResp(buf []byte, files []*MetaFile) []byte {
-	buf = beginFrame(buf, MsgMetaListResp)
+	buf = beginMsg(buf, MsgMetaListResp)
 	buf = codec.AppendUvarint(buf, uint64(len(files)))
 	for _, f := range files {
 		buf = AppendMetaFile(buf, f)
@@ -425,7 +420,7 @@ func DecodeMetaListResp(payload []byte) ([]*MetaFile, error) {
 
 // AppendMetaNodesResp encodes a MsgMetaNodesResp.
 func AppendMetaNodesResp(buf []byte, nodes []MetaNode) []byte {
-	buf = beginFrame(buf, MsgMetaNodesResp)
+	buf = beginMsg(buf, MsgMetaNodesResp)
 	buf = codec.AppendUvarint(buf, uint64(len(nodes)))
 	for i := range nodes {
 		buf = appendString(buf, nodes[i].Addr)

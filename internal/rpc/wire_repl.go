@@ -1,7 +1,7 @@
 // Metadata replication wire messages: leader election ballots, log
 // shipping (which doubles as the lease heartbeat), full-state snapshot
 // install, and the replication status probe. They ride the same
-// framing, hello negotiation, and error encoding as everything else;
+// framing, connection loop, and error encoding as everything else;
 // only parafilemd peers exchange them.
 
 package rpc
@@ -36,9 +36,9 @@ type MetaVoteReq struct {
 	LastTerm  uint64
 }
 
-// AppendMetaVote encodes req as a frame body.
+// AppendMetaVote encodes req as a message.
 func AppendMetaVote(buf []byte, req *MetaVoteReq) []byte {
-	buf = beginFrame(buf, MsgMetaVote)
+	buf = beginMsg(buf, MsgMetaVote)
 	buf = codec.AppendUvarint(buf, req.Term)
 	buf = appendString(buf, req.Candidate)
 	buf = codec.AppendUvarint(buf, req.LastIndex)
@@ -72,9 +72,9 @@ type MetaVoteResp struct {
 	Granted bool
 }
 
-// AppendMetaVoteResp encodes resp as a frame body.
+// AppendMetaVoteResp encodes resp as a message.
 func AppendMetaVoteResp(buf []byte, resp *MetaVoteResp) []byte {
-	buf = beginFrame(buf, MsgMetaVoteResp)
+	buf = beginMsg(buf, MsgMetaVoteResp)
 	buf = codec.AppendUvarint(buf, resp.Term)
 	if resp.Granted {
 		buf = append(buf, 1)
@@ -112,9 +112,9 @@ type MetaAppendReq struct {
 	Entries   []ReplEntry
 }
 
-// AppendMetaAppend encodes req as a frame body.
+// AppendMetaAppend encodes req as a message.
 func AppendMetaAppend(buf []byte, req *MetaAppendReq) []byte {
-	buf = beginFrame(buf, MsgMetaAppend)
+	buf = beginMsg(buf, MsgMetaAppend)
 	buf = codec.AppendUvarint(buf, req.Term)
 	buf = appendString(buf, req.Leader)
 	buf = codec.AppendUvarint(buf, req.PrevIndex)
@@ -181,9 +181,9 @@ type MetaAppendResp struct {
 	LastIndex uint64
 }
 
-// AppendMetaAppendResp encodes resp as a frame body.
+// AppendMetaAppendResp encodes resp as a message.
 func AppendMetaAppendResp(buf []byte, resp *MetaAppendResp) []byte {
-	buf = beginFrame(buf, MsgMetaAppendResp)
+	buf = beginMsg(buf, MsgMetaAppendResp)
 	buf = codec.AppendUvarint(buf, resp.Term)
 	if resp.OK {
 		buf = append(buf, 1)
@@ -224,9 +224,9 @@ type MetaSnapInstallReq struct {
 	State     []byte
 }
 
-// AppendMetaSnapInstall encodes req as a frame body.
+// AppendMetaSnapInstall encodes req as a message.
 func AppendMetaSnapInstall(buf []byte, req *MetaSnapInstallReq) []byte {
-	buf = beginFrame(buf, MsgMetaSnapInstall)
+	buf = beginMsg(buf, MsgMetaSnapInstall)
 	buf = codec.AppendUvarint(buf, req.Term)
 	buf = appendString(buf, req.Leader)
 	buf = codec.AppendUvarint(buf, req.LastIndex)
@@ -284,11 +284,11 @@ type MetaStatusInfo struct {
 }
 
 // AppendMetaStatus encodes the empty status probe.
-func AppendMetaStatus(buf []byte) []byte { return beginFrame(buf, MsgMetaStatus) }
+func AppendMetaStatus(buf []byte) []byte { return beginMsg(buf, MsgMetaStatus) }
 
-// AppendMetaStatusResp encodes info as a frame body.
+// AppendMetaStatusResp encodes info as a message.
 func AppendMetaStatusResp(buf []byte, info *MetaStatusInfo) []byte {
-	buf = beginFrame(buf, MsgMetaStatusResp)
+	buf = beginMsg(buf, MsgMetaStatusResp)
 	buf = codec.AppendUvarint(buf, info.Term)
 	buf = appendString(buf, info.Role)
 	buf = appendString(buf, info.Leader)

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"parafile/internal/obs"
 )
 
 // wire_test.go checks the frame codec the hard way: seeded-random
@@ -29,13 +31,19 @@ func randBytes(rng *rand.Rand, max int) []byte {
 	return b
 }
 
-// roundTrip pushes a frame body through WriteFrame/ReadFrame and
+// frameBody wraps a message in the frame body ReadFrame would hand
+// back for it.
+func frameBody(h frameHdr, msg []byte) []byte {
+	return append(appendFrameHdr(nil, MaxProtoVersion, &h), msg...)
+}
+
+// roundTrip pushes a message through WriteFrameV/ReadFrame and
 // returns the re-parsed payload.
-func roundTrip(t *testing.T, body []byte, wantType byte) []byte {
+func roundTrip(t *testing.T, msg []byte, wantType byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, body); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := WriteFrameV(&buf, msg, MaxProtoVersion); err != nil {
+		t.Fatalf("WriteFrameV: %v", err)
 	}
 	got, err := ReadFrame(&buf, 0)
 	if err != nil {
@@ -219,7 +227,7 @@ func TestFingerprintNeverZero(t *testing.T) {
 func TestTruncatedFrames(t *testing.T) {
 	req := &WriteSegsReq{File: "f", Subfile: 1, Lo: 0, Hi: 15, Data: make([]byte, 16)}
 	var full bytes.Buffer
-	if err := WriteFrame(&full, AppendWriteSegs(nil, req)); err != nil {
+	if err := WriteFrameV(&full, AppendWriteSegs(nil, req), MaxProtoVersion); err != nil {
 		t.Fatal(err)
 	}
 	stream := full.Bytes()
@@ -261,19 +269,20 @@ func TestCorruptFrames(t *testing.T) {
 		AppendStatResp(nil, 123456),
 		AppendError(nil, ErrCodeIO, "disk on fire"),
 	}
-	for _, body := range bodies {
+	for _, msg := range bodies {
+		body := frameBody(frameHdr{sid: 5}, msg)
 		msgType, _, err := ParseFrame(body)
 		if err != nil {
 			t.Fatal(err)
 		}
 		decode := decoders[msgType]
-		for i := 2; i < len(body); i++ {
+		for i := 1; i < len(body); i++ {
 			for _, delta := range []byte{1, 0x80, 0xFF} {
 				mut := append([]byte(nil), body...)
 				mut[i] ^= delta
 				mt, payload, err := ParseFrame(mut)
 				if err != nil {
-					continue // version byte corrupted: rejected up front
+					continue // header corrupted: rejected up front
 				}
 				if d, ok := decoders[mt]; ok {
 					d(payload) // must not panic; errors are expected
@@ -294,14 +303,14 @@ func TestFrameLengthBounds(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(big), 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("4GiB frame accepted: %v", err)
 	}
-	// Undersized: a frame body needs at least version+type.
+	// Undersized: a frame body needs at least version, header and type.
 	small := []byte{0, 0, 0, 1, 0xAA}
 	if _, err := ReadFrame(bytes.NewReader(small), 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("1-byte frame accepted: %v", err)
 	}
 	// A tight max-frame rejects bodies that the default allows.
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, AppendData(nil, make([]byte, 1024))); err != nil {
+	if err := WriteFrameV(&buf, AppendData(nil, make([]byte, 1024)), MaxProtoVersion); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadFrame(bytes.NewReader(buf.Bytes()), 64); !errors.Is(err, ErrCorrupt) {
@@ -310,22 +319,52 @@ func TestFrameLengthBounds(t *testing.T) {
 }
 
 func TestParseFrameVersion(t *testing.T) {
-	body := AppendOK(nil)
-	body[0] = MaxProtoVersion + 1
-	if _, _, err := ParseFrame(body); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("wrong protocol version accepted: %v", err)
-	}
-	body[0] = ProtoVersion2
+	body := frameBody(frameHdr{}, AppendOK(nil))
 	if _, _, err := ParseFrame(body); err != nil {
-		t.Fatalf("v2 body rejected: %v", err)
+		t.Fatalf("current-version body rejected: %v", err)
 	}
-	if _, _, err := ParseFrame([]byte{ProtoVersion}); !errors.Is(err, ErrCorrupt) {
+	for _, ver := range []byte{0, MaxProtoVersion - 1, MaxProtoVersion + 1} {
+		body[0] = ver
+		if _, _, err := ParseFrame(body); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("protocol version %d accepted: %v", ver, err)
+		}
+	}
+	if _, _, err := ParseFrame([]byte{MaxProtoVersion}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("1-byte body accepted: %v", err)
 	}
 }
 
+// TestFrameHeaderRoundTrip checks that the routing header — stream id,
+// trace context, returned span records — survives the wire and leaves
+// the message untouched behind it.
+func TestFrameHeaderRoundTrip(t *testing.T) {
+	want := frameHdr{sid: 1 << 40, trace: 0xDEADBEEFCAFE, span: 77, spans: []obs.SpanRecord{
+		{TraceID: 0xDEADBEEFCAFE, SpanID: 78, Parent: 77, Name: "server.stat", Node: "ion0", Start: 10, End: 25},
+		{TraceID: 0xDEADBEEFCAFE, SpanID: 79, Parent: 78, Name: "lock_wait", Node: "ion0", Start: 11, End: 12, Err: true},
+	}}
+	var buf bytes.Buffer
+	if _, err := writeFrame(&buf, MaxProtoVersion, &want, AppendStatResp(nil, 42)); err != nil {
+		t.Fatal(err)
+	}
+	body, err := ReadFrame(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, msgType, payload, err := parseFrame(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.sid != want.sid || got.trace != want.trace || got.span != want.span || len(got.spans) != 2 ||
+		got.spans[0] != want.spans[0] || got.spans[1] != want.spans[1] {
+		t.Fatalf("header %+v, want %+v", got, want)
+	}
+	if n, err := DecodeStatResp(payload); msgType != MsgStatResp || err != nil || n != 42 {
+		t.Fatalf("message behind the header: type %#x n %d err %v", msgType, n, err)
+	}
+}
+
 func TestTrailingBytesRejected(t *testing.T) {
-	withTrailer := append(AppendStat(nil, &StatReq{File: "x", Subfile: 0}), 0xEE)
+	withTrailer := frameBody(frameHdr{}, append(AppendStat(nil, &StatReq{File: "x", Subfile: 0}), 0xEE))
 	_, payload, err := ParseFrame(withTrailer)
 	if err != nil {
 		t.Fatal(err)
@@ -351,18 +390,29 @@ func TestMsgName(t *testing.T) {
 // request decoder: nothing may panic, and every error must belong to
 // the ErrCorrupt family so connection handlers can classify it.
 func FuzzDecode(f *testing.F) {
-	f.Add(AppendCreateFile(nil, &CreateFileReq{Name: "d", Phys: []byte{1}, Subfiles: []int{0}}))
-	f.Add(AppendWriteSegs(nil, &WriteSegsReq{File: "d", Hi: 7, Data: make([]byte, 8)}))
-	f.Add(AppendReadSegs(nil, &ReadSegsReq{File: "d", Hi: 7, N: 8}))
-	f.Add(AppendSetView(nil, &SetViewReq{Fingerprint: 1, Proj: []byte{2}}))
-	f.Add(AppendError(nil, ErrCodeIO, "x"))
-	f.Add([]byte{ProtoVersion, MsgOK})
+	req := frameHdr{sid: 3, trace: 9, span: 4}
+	f.Add(frameBody(req, AppendCreateFile(nil, &CreateFileReq{Name: "d", Phys: []byte{1}, Subfiles: []int{0}})))
+	f.Add(frameBody(req, AppendWriteSegs(nil, &WriteSegsReq{File: "d", Hi: 7, Data: make([]byte, 8), Epoch: 2})))
+	f.Add(frameBody(req, AppendReadSegs(nil, &ReadSegsReq{File: "d", Hi: 7, N: 8})))
+	f.Add(frameBody(frameHdr{sid: 1}, AppendSetView(nil, &SetViewReq{Fingerprint: 1, Proj: []byte{2}})))
+	f.Add(frameBody(frameHdr{sid: 1}, AppendError(nil, ErrCodeOverloaded, "x")))
+	f.Add(frameBody(frameHdr{}, AppendOK(nil)))
+	// The connection preface, and a reply carrying a span section.
+	f.Add(frameBody(frameHdr{}, AppendHello(nil, MaxProtoVersion, "gold")))
+	f.Add(frameBody(frameHdr{sid: 3, spans: []obs.SpanRecord{
+		{TraceID: 9, SpanID: 5, Parent: 4, Name: "server.stat", Node: "ion0", Start: 1, End: 2},
+	}}, AppendStatResp(nil, 8)))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		msgType, payload, err := ParseFrame(body)
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("parse error outside the ErrCorrupt family: %v", err)
+			}
 			return
 		}
 		switch msgType {
+		case MsgHello:
+			DecodeHello(payload)
 		case MsgCreateFile:
 			DecodeCreateFile(payload)
 		case MsgSetView:
