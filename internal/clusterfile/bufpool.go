@@ -53,6 +53,7 @@ func (c *Cluster) putMsgBuf(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
+	c.met.bufReturns.Inc()
 	if cap(b) > maxPooledMsgBuf {
 		msgBufDiscards.Add(1)
 		c.met.bufDiscards.Inc()

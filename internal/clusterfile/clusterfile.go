@@ -366,21 +366,15 @@ func (c *Cluster) createFileCtx(ctx context.Context, name string, phys *part.Fil
 	return c.createFilePlacement(ctx, name, phys, placement, 0)
 }
 
-// CreateFilePlacement registers a file with explicit placement rows —
-// [replica][subfile] -> I/O node — instead of the computed
+// CreateFilePlacementCtx registers a file with explicit placement rows
+// — [replica][subfile] -> I/O node — instead of the computed
 // (assign[s]+r) mod IONodes ring. The rebalance driver needs this: it
 // opens old and new generations inside one union cluster whose node
 // count matches neither generation's, so ring arithmetic would place
-// replicas wrong.
-func (c *Cluster) CreateFilePlacement(name string, phys *part.File, placement [][]int) (*File, error) {
-	return c.CreateFilePlacementCtx(context.Background(), name, phys, placement, 0)
-}
-
-// CreateFilePlacementCtx is CreateFilePlacement bounded by a context
-// and stamped with a placement epoch: when the transport is
-// epoch-aware (EpochTransport) every storage op of the file's handles
-// carries the epoch, so daemons reject stale ops. Epoch zero opens
-// unstamped.
+// replicas wrong. The file is stamped with a placement epoch: when the
+// transport is epoch-aware (EpochTransport) every storage op of the
+// file's handles carries it, so daemons reject stale ops. Epoch zero
+// opens unstamped.
 func (c *Cluster) CreateFilePlacementCtx(ctx context.Context, name string, phys *part.File, placement [][]int, epoch uint64) (*File, error) {
 	if len(placement) < 1 {
 		return nil, fmt.Errorf("clusterfile: placement needs at least one replica row")
@@ -520,11 +514,6 @@ func (f *File) Close() error {
 		}
 	}
 	return first
-}
-
-// growReplica guarantees replica r of subfile i holds at least n bytes.
-func (f *File) growReplica(ctx context.Context, r, i int, n int64) error {
-	return f.handle(r, i).EnsureLen(ctx, n)
 }
 
 // subView is the per-subfile state a view keeps after SetView.

@@ -26,8 +26,12 @@ const (
 	MetricNetBytes    = "parafile_clusterfile_net_bytes_total"
 	// MetricMsgBufHits / MetricMsgBufMisses measure the message-buffer
 	// pool: hits reuse pooled capacity, misses allocate.
-	MetricMsgBufHits   = "parafile_clusterfile_msgbuf_hits_total"
-	MetricMsgBufMisses = "parafile_clusterfile_msgbuf_misses_total"
+	// MetricMsgBufReturns counts buffers handed back (pooled or
+	// discarded): hits+misses-returns is what operations still hold,
+	// zero once they have settled.
+	MetricMsgBufHits    = "parafile_clusterfile_msgbuf_hits_total"
+	MetricMsgBufMisses  = "parafile_clusterfile_msgbuf_misses_total"
+	MetricMsgBufReturns = "parafile_clusterfile_msgbuf_returns_total"
 	// MetricMsgBufDiscards counts buffers dropped by the pool's
 	// retention cap instead of being returned for reuse.
 	MetricMsgBufDiscards = "parafile_clusterfile_msgbuf_discards_total"
@@ -69,7 +73,7 @@ type cfMetrics struct {
 	gatherNs, scatterNs       *obs.Histogram
 	netMsgs, netBytes         *obs.Counter
 	bufHits, bufMisses        *obs.Counter
-	bufDiscards               *obs.Counter
+	bufReturns, bufDiscards   *obs.Counter
 	poolDiscards              *obs.Gauge
 	setViews                  *obs.Counter
 	setViewNs                 *obs.Histogram
@@ -94,6 +98,7 @@ func newCFMetrics(reg *obs.Registry, ioNodes int) cfMetrics {
 		netBytes:        reg.Counter(MetricNetBytes),
 		bufHits:         reg.Counter(MetricMsgBufHits),
 		bufMisses:       reg.Counter(MetricMsgBufMisses),
+		bufReturns:      reg.Counter(MetricMsgBufReturns),
 		bufDiscards:     reg.Counter(MetricMsgBufDiscards),
 		poolDiscards:    reg.Gauge(metricPoolDiscards),
 		setViews:        reg.Counter(MetricSetViews),

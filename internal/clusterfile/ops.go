@@ -72,26 +72,83 @@ type WriteStats struct {
 	PerIONodeScatterNs map[int]int64
 }
 
-// WriteOp is an in-flight write; its Stats are final once the
-// cluster's kernel has drained. On partial failure Err holds a
-// *PartialError with the per-I/O-node outcomes.
-type WriteOp struct {
-	Stats WriteStats
-	Err   error
+// collective is the in-flight state every collective operation (write,
+// read, redistribute) carries. The event kernel is single-threaded, so
+// plain fields suffice.
+type collective struct {
+	// Err, once the operation is done, is nil or a *PartialError with the
+	// per-I/O-node outcomes (for a redistribution the destination nodes
+	// are cancelled: their staged data was discarded, never committed).
+	Err error
 	// Degraded, when non-nil after completion, lists replica placements
-	// that failed while every subfile still met its write quorum: the
-	// operation succeeded, but the named nodes hold stale replicas
-	// until the file is repaired.
+	// that failed while the operation still succeeded: every subfile (or
+	// transfer) met its write quorum, or a sibling replica served the
+	// read. The named nodes hold stale or unreachable replicas until the
+	// file is repaired.
 	Degraded *PartialError
 
 	pending  int
 	started  int64
-	view     *View
 	ctx      context.Context
 	cancel   context.CancelFunc
 	outcomes *outcomeSet
 	failFast bool
 	span     *obs.Span // distributed-trace root (nil when untraced)
+}
+
+// Cancel aborts the operation: work that has not yet run reports
+// OutcomeCancelled (a redistribution discards its staging at the commit
+// point, leaving the new file untouched). Safe to call at any time.
+func (op *collective) Cancel() { op.cancel() }
+
+// fail records an error against one I/O node by class, cancelling
+// siblings when the cluster is configured fail-fast. Overload answers
+// (admission control shed the request through the client's whole
+// retry budget) are a class of their own: nothing executed, nothing
+// torn, and the node is healthy — so they never trip fail-fast and
+// surface as OutcomeShed rather than OutcomeFailed.
+func (op *collective) fail(ioNode int, err error) {
+	switch {
+	case isCtxErr(err):
+		op.outcomes.cancel(ioNode, err)
+	case errors.Is(err, qos.ErrOverloaded):
+		op.outcomes.shed(ioNode, err)
+	default:
+		op.outcomes.fail(ioNode, err)
+		if op.failFast {
+			op.cancel()
+		}
+	}
+}
+
+// finish seals a settled operation — the PartialError (or the degraded
+// report) derived from the outcomes, else the given fallback error; the
+// op context released, the trace published — and returns its virtual
+// duration.
+func (op *collective) finish(c *Cluster, fallback error) int64 {
+	err, degraded := op.outcomes.finalize()
+	if op.Err == nil {
+		op.Err = err
+	}
+	if op.Err == nil {
+		op.Err = fallback
+	}
+	if op.Err == nil && degraded != nil {
+		op.Degraded = degraded
+		c.met.degradedOps.Inc()
+	}
+	op.cancel()
+	stampTrace(op.Err, op.span)
+	c.finishOp(op.span, op.Err)
+	return c.K.Now() - op.started
+}
+
+// WriteOp is an in-flight write; its Stats are final once the
+// cluster's kernel has drained.
+type WriteOp struct {
+	collective
+	Stats WriteStats
+	view  *View
 }
 
 // sharedBuf refcounts one pooled gather buffer fanned out to R replica
@@ -114,50 +171,30 @@ func (b *sharedBuf) release(c *Cluster) {
 // Done reports whether all acknowledgments have arrived.
 func (op *WriteOp) Done() bool { return op.pending == 0 }
 
-// Cancel aborts the operation: deliveries that have not yet run
-// report OutcomeCancelled. Safe to call at any time.
-func (op *WriteOp) Cancel() { op.cancel() }
-
 // completeOne retires one per-replica delivery; the last one seals the
-// stats, derives the PartialError (or the degraded report) and
-// releases the op context.
+// operation.
 func (op *WriteOp) completeOne(c *Cluster) {
-	op.pending--
-	if op.pending == 0 {
-		op.Stats.TNet = c.K.Now() - op.started
-		err, degraded := op.outcomes.finalize()
-		if err != nil && op.Err == nil {
-			op.Err = err
-		}
-		if op.Err == nil && degraded != nil {
-			op.Degraded = degraded
-			c.met.degradedOps.Inc()
-		}
-		op.cancel()
-		stampTrace(op.Err, op.span)
-		c.finishOp(op.span, op.Err)
+	if op.pending--; op.pending == 0 {
+		op.Stats.TNet = op.finish(c, nil)
 	}
 }
 
-// nodeFailed records a delivery error for one I/O node, cancelling
-// siblings when the cluster is configured fail-fast. Overload answers
-// (admission control shed the request through the client's whole
-// retry budget) are a class of their own: nothing executed, nothing
-// torn, and the node is healthy — so they never trip fail-fast and
-// surface as OutcomeShed rather than OutcomeFailed.
+// nodeFailed retires a delivery that failed against one I/O node.
 func (op *WriteOp) nodeFailed(c *Cluster, ioNode int, err error) {
-	switch {
-	case isCtxErr(err):
-		op.outcomes.cancel(ioNode, err)
-	case errors.Is(err, qos.ErrOverloaded):
-		op.outcomes.shed(ioNode, err)
-	default:
-		op.outcomes.fail(ioNode, err)
-		if op.failFast {
-			op.cancel()
-		}
-	}
+	op.fail(ioNode, err)
 	op.completeOne(c)
+}
+
+// newCollective starts the shared state of one operation under its
+// operation context and trace span.
+func (c *Cluster) newCollective(name string, octx context.Context, cancel context.CancelFunc, sp *obs.Span) collective {
+	return collective{
+		started: c.K.Now(),
+		ctx:     octx, cancel: cancel,
+		outcomes: newOutcomeSet(name),
+		failFast: c.cfg.FailFast,
+		span:     sp,
+	}
 }
 
 // copyModelNs returns the era CPU cost of moving the given bytes in
@@ -191,13 +228,7 @@ func (v *View) StartWriteCtx(ctx context.Context, mode WriteMode, lowV, highV in
 	c := v.file.cluster
 	octx, cancel := c.opCtx(ctx)
 	octx, osp := c.startOp(octx, "write")
-	op := &WriteOp{
-		view: v, started: c.K.Now(),
-		ctx: octx, cancel: cancel,
-		outcomes: newOutcomeSet("write"),
-		failFast: c.cfg.FailFast,
-		span:     osp,
-	}
+	op := &WriteOp{view: v, collective: c.newCollective("write", octx, cancel, osp)}
 	op.Stats.PerIONodeScatterNs = make(map[int]int64)
 	c.met.writeOps.Inc()
 	span := c.span.StartChild("clusterfile.write")
@@ -341,10 +372,6 @@ func (c *Cluster) serverWrite(op *WriteOp, v *View, sub *subView, mode WriteMode
 		op.completeOne(c)
 		return
 	}
-	if err := f.growReplica(op.ctx, replica, sub.subfile, highS+1); err != nil {
-		op.nodeFailed(c, ioNode, err)
-		return
-	}
 	store := f.handle(replica, sub.subfile)
 	ts := time.Now()
 	if contiguous && sub.projS.IsContiguous(lowS, highS) {
@@ -405,63 +432,23 @@ type ReadStats struct {
 	BytesMoved int64
 }
 
-// ReadOp is an in-flight read. On partial failure Err holds a
-// *PartialError with the per-I/O-node outcomes.
+// ReadOp is an in-flight read.
 type ReadOp struct {
+	collective
 	Stats ReadStats
-	Err   error
-	// Degraded, when non-nil after completion, lists replica placements
-	// that failed before a sibling replica served the read: the data is
-	// complete and correct, but the named nodes were unreachable or
-	// unreadable when asked.
-	Degraded *PartialError
-
-	pending  int
-	started  int64
-	ctx      context.Context
-	cancel   context.CancelFunc
-	outcomes *outcomeSet
-	failFast bool
-	span     *obs.Span // distributed-trace root (nil when untraced)
 }
 
 // Done reports whether all data has arrived.
 func (op *ReadOp) Done() bool { return op.pending == 0 }
 
-// Cancel aborts the operation: server work that has not yet run
-// reports OutcomeCancelled. Safe to call at any time.
-func (op *ReadOp) Cancel() { op.cancel() }
-
 func (op *ReadOp) completeOne(c *Cluster) {
-	op.pending--
-	if op.pending == 0 {
-		op.Stats.TNet = c.K.Now() - op.started
-		err, degraded := op.outcomes.finalize()
-		if err != nil && op.Err == nil {
-			op.Err = err
-		}
-		if op.Err == nil && degraded != nil {
-			op.Degraded = degraded
-			c.met.degradedOps.Inc()
-		}
-		op.cancel()
-		stampTrace(op.Err, op.span)
-		c.finishOp(op.span, op.Err)
+	if op.pending--; op.pending == 0 {
+		op.Stats.TNet = op.finish(c, nil)
 	}
 }
 
 func (op *ReadOp) nodeFailed(c *Cluster, ioNode int, err error) {
-	switch {
-	case isCtxErr(err):
-		op.outcomes.cancel(ioNode, err)
-	case errors.Is(err, qos.ErrOverloaded):
-		op.outcomes.shed(ioNode, err)
-	default:
-		op.outcomes.fail(ioNode, err)
-		if op.failFast {
-			op.cancel()
-		}
-	}
+	op.fail(ioNode, err)
 	op.completeOne(c)
 }
 
@@ -483,13 +470,7 @@ func (v *View) StartReadCtx(ctx context.Context, lowV, highV int64, buf []byte) 
 	c := v.file.cluster
 	octx, cancel := c.opCtx(ctx)
 	octx, osp := c.startOp(octx, "read")
-	op := &ReadOp{
-		started: c.K.Now(),
-		ctx:     octx, cancel: cancel,
-		outcomes: newOutcomeSet("read"),
-		failFast: c.cfg.FailFast,
-		span:     osp,
-	}
+	op := &ReadOp{collective: c.newCollective("read", octx, cancel, osp)}
 	c.met.readOps.Inc()
 	span := c.span.StartChild("clusterfile.read")
 	defer span.End()
@@ -575,10 +556,6 @@ func (c *Cluster) serverRead(op *ReadOp, v *View, sub *subView, replica int,
 	if err := op.ctx.Err(); err != nil {
 		op.outcomes.cancel(ioNode, err)
 		op.completeOne(c)
-		return
-	}
-	if err := f.growReplica(op.ctx, replica, sub.subfile, highS+1); err != nil {
-		fail(err)
 		return
 	}
 	n := sub.projS.BytesIn(lowS, highS)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"parafile/internal/obs"
 	"parafile/internal/part"
 	"parafile/internal/redist"
 )
@@ -14,17 +13,24 @@ import (
 // redistribute.go implements on-the-fly physical re-partitioning of a
 // stored file — §3: "using the redistribution algorithm it is possible
 // to implement disk redistribution on the fly, like in Panda, in order
-// to better suit the layout to a certain access pattern". Data moves
-// I/O node to I/O node over the simulated interconnect; the library's
-// redistribution plan supplies the pairwise projections.
+// to better suit the layout to a certain access pattern".
 //
-// Redistribution is all-or-nothing: arriving transfer buffers are
-// STAGED at their destination I/O nodes and only committed — scattered
-// into the new subfiles — once every source gather and transfer has
-// landed. Any gather, transfer or cancellation before that point
-// discards the staging wholesale, leaving the new file's subfiles
-// untouched (still empty), so a failed redistribution never yields a
-// half-written destination layout.
+// The bytes move in whole-subfile windows (DESIGN.md §8): each source
+// subfile's window [0, max srcHi] is read with one contiguous ReadAt,
+// the compiled plan's copy runs move its transfers into zero-filled
+// destination-window images in memory — where a segment costs a copy,
+// not a syscall or a round trip — and at the commit point each
+// destination window is written with one contiguous WriteAt per
+// replica. MAP_S is monotone, so the transfers tile every window
+// without gaps: the contiguous I/O moves exactly the transfers' bytes.
+// The virtual-time cost model stays per transfer, as if each had been
+// gathered, sent and scattered on its own.
+//
+// Redistribution is all-or-nothing: the destination images ARE the
+// staging, written into the new subfiles only once every source window
+// was read and every transfer has landed. Any failure or cancellation
+// before that commit point discards the images, leaving the new file's
+// subfiles untouched (still empty).
 
 // ErrRedistAborted marks destination work discarded because the
 // redistribution aborted before its commit point.
@@ -43,109 +49,88 @@ type RedistStats struct {
 	GatherReal, ScatterReal time.Duration
 }
 
-// stagedScatter is one arrived transfer parked at its destination I/O
-// node, waiting for the operation's commit point. key names the
-// transfer's quorum group: each transfer needs WriteQuorum replica
-// commits on the destination file. (Keys are per transfer, not per
-// destination subfile — several transfers may land in one subfile, and
-// each must meet quorum on its own.)
-type stagedScatter struct {
+// stagedXfer is one arrived transfer waiting for the operation's
+// commit point; its bytes already sit in its destination window's
+// image. key names the transfer's quorum group: each transfer needs
+// WriteQuorum replica commits on the destination file. (Keys are per
+// transfer, not per destination subfile — several transfers land in
+// one subfile, and each must meet quorum on its own.)
+type stagedXfer struct {
 	key     string
-	dstElem int
-	dstION  int
-	dstHi   int64
 	dstSegs int64
-	dstProj *redist.Projection
-	buf     []byte
 	bytes   int64
 }
 
-// RedistOp is an in-flight cluster redistribution. On failure Err
-// holds a *PartialError whose destination-node outcomes are cancelled
-// (their staged data was discarded, never committed).
-type RedistOp struct {
-	Stats RedistStats
-	Err   error
-	// Degraded, when non-nil after completion, lists replica placements
-	// that failed while every transfer still met its commit quorum on
-	// the destination file (or source placements a failover absorbed).
-	Degraded *PartialError
+// dstWindow is the staging of one destination subfile: the zero-filled
+// image of its window [0, max dstHi] (nil while no transfer has been
+// applied to it) and the transfers that have arrived for it.
+type dstWindow struct {
+	img   []byte
+	xfers []stagedXfer
+}
 
-	pending  int
-	started  int64
-	ctx      context.Context
-	cancel   context.CancelFunc
-	outcomes *outcomeSet
-	failFast bool
-	nf       *File
-	staged   []stagedScatter
-	aborted  bool
-	sealed   bool
-	span     *obs.Span // distributed-trace root (nil when untraced)
+// RedistOp is an in-flight cluster redistribution.
+type RedistOp struct {
+	collective
+	Stats   RedistStats
+	nf      *File
+	wins    []dstWindow // by destination subfile
+	aborted bool
+	sealed  bool
 }
 
 // Done reports whether the redistribution has settled (committed or
 // aborted).
 func (op *RedistOp) Done() bool { return op.sealed }
 
-// Cancel aborts the redistribution; staged destination data is
-// discarded at the commit point, leaving the new file untouched.
-func (op *RedistOp) Cancel() { op.cancel() }
-
-// nodeFailed records a hard error against one I/O node and dooms the
+// nodeFailed records an error against one I/O node and dooms the
 // operation: the commit point will discard the staging.
 func (op *RedistOp) nodeFailed(ioNode int, err error) {
-	if isCtxErr(err) {
-		op.outcomes.cancel(ioNode, err)
-	} else {
-		op.outcomes.fail(ioNode, err)
-		if op.failFast {
-			op.cancel()
-		}
-	}
+	op.fail(ioNode, err)
 	op.aborted = true
 }
 
 // arrived retires one transfer; the last one reaches the commit point.
 func (op *RedistOp) arrived(c *Cluster) {
-	op.pending--
-	if op.pending == 0 {
+	if op.pending--; op.pending == 0 {
 		op.settle(c)
 	}
 }
 
-// settle is the commit point: with every gather and transfer landed
-// and the operation not doomed, scatter the staged buffers into the
-// new subfiles (every replica placement); otherwise discard them all.
-// Only an abort or a cancelled context dooms the operation here —
-// individual Failed node outcomes may be source failovers the
-// replication layer already absorbed.
+// settle is the commit point: with every source window read and every
+// transfer landed and the operation not doomed, write each destination
+// image into its new subfile (every replica placement); otherwise
+// discard them all. Only an abort or a cancelled context dooms the
+// operation here — individual Failed node outcomes may be source
+// failovers the replication layer already absorbed.
 func (op *RedistOp) settle(c *Cluster) {
-	if op.aborted || op.ctx.Err() != nil {
-		for _, s := range op.staged {
-			c.putMsgBuf(s.buf)
-			for r := 0; r < op.nf.Replication; r++ {
-				op.outcomes.cancel(op.nf.Placement[r][s.dstElem], ErrRedistAborted)
+	nf := op.nf
+	doomed := op.aborted || op.ctx.Err() != nil
+	op.pending = 0
+	for d := range op.wins {
+		w := &op.wins[d]
+		if doomed {
+			for r := 0; r < nf.Replication && len(w.xfers) > 0; r++ {
+				op.outcomes.cancel(nf.Placement[r][d], ErrRedistAborted)
 			}
+			c.putMsgBuf(w.img)
+			*w = dstWindow{}
 		}
-		op.staged = nil
-		op.seal(c)
-		return
+		op.pending += len(w.xfers) * nf.Replication
 	}
-	staged := op.staged
-	op.staged = nil
-	op.pending = len(staged) * op.nf.Replication
 	if op.pending == 0 {
 		op.seal(c)
 		return
 	}
-	for _, s := range staged {
-		op.commitOne(c, s)
+	for d := range op.wins {
+		if op.wins[d].img != nil {
+			op.commitWindow(c, d)
+		}
 	}
 }
 
 // replicaCommitFailed records one replica's commit failure. Past the
-// commit point a single replica no longer dooms the operation — the
+// commit point a single replica no longer dooms the operation — each
 // transfer's quorum group decides — so this never sets op.aborted.
 func (op *RedistOp) replicaCommitFailed(c *Cluster, ioNode int, err error) {
 	if isCtxErr(err) {
@@ -156,78 +141,58 @@ func (op *RedistOp) replicaCommitFailed(c *Cluster, ioNode int, err error) {
 	op.commitDone(c)
 }
 
-// commitOne scatters one staged buffer into every replica placement of
-// its destination subfile and charges each destination's storage cost.
-// The buffer is shared across the replica scatters (the store copies),
-// so it returns to the pool once the loop finishes.
-func (op *RedistOp) commitOne(c *Cluster, s stagedScatter) {
-	defer c.putMsgBuf(s.buf)
+// commitWindow writes one destination image into every replica
+// placement of its subfile — one contiguous WriteAt each; the image is
+// shared across the replica writes (the store copies) and returns to
+// the pool afterwards — and settles the window's transfers against
+// each write: outcome, quorum credit and the destination's storage
+// cost, per transfer.
+func (op *RedistOp) commitWindow(c *Cluster, d int) {
+	w := op.wins[d]
+	op.wins[d] = dstWindow{}
+	defer c.putMsgBuf(w.img)
 	nf := op.nf
 	for r := 0; r < nf.Replication; r++ {
-		dstION := nf.Placement[r][s.dstElem]
-		if err := op.ctx.Err(); err != nil {
-			op.outcomes.cancel(dstION, err)
-			op.commitDone(c)
-			continue
+		dstION := nf.Placement[r][d]
+		err := op.ctx.Err()
+		if err == nil {
+			ts := time.Now()
+			err = nf.handle(r, d).WriteAt(op.ctx, w.img, 0)
+			realScatter := time.Since(ts)
+			op.Stats.ScatterReal += realScatter
+			c.met.scatterNs.Observe(realScatter.Nanoseconds())
 		}
-		if err := nf.growReplica(op.ctx, r, s.dstElem, s.dstHi+1); err != nil {
-			op.replicaCommitFailed(c, dstION, err)
-			continue
-		}
-		ts := time.Now()
-		if err := nf.handle(r, s.dstElem).Scatter(op.ctx, s.dstProj, 0, s.dstHi, s.buf); err != nil {
-			op.replicaCommitFailed(c, dstION, err)
-			continue
-		}
-		realScatter := time.Since(ts)
-		op.Stats.ScatterReal += realScatter
-		op.outcomes.ok(dstION, s.bytes)
-		op.outcomes.groupOK(s.key)
-		c.met.scatterBytes.Add(s.bytes)
-		c.met.scatterNs.Observe(realScatter.Nanoseconds())
-		c.met.ioBytes(dstION).Add(s.bytes)
-		cost := c.Disks[dstION].CacheCost(s.bytes, s.dstSegs)
-		c.Disks[dstION].Account(s.bytes, false)
-		err := c.Net.ReceiverBusy(c.ioNet(dstION), cost, func() {
-			op.commitDone(c)
-		})
-		if err != nil {
-			op.replicaCommitFailed(c, dstION, err)
+		for _, s := range w.xfers {
+			if err != nil {
+				op.replicaCommitFailed(c, dstION, err)
+				continue
+			}
+			op.outcomes.ok(dstION, s.bytes)
+			op.outcomes.groupOK(s.key)
+			c.met.scatterBytes.Add(s.bytes)
+			c.met.ioBytes(dstION).Add(s.bytes)
+			cost := c.Disks[dstION].CacheCost(s.bytes, s.dstSegs)
+			c.Disks[dstION].Account(s.bytes, false)
+			if err := c.Net.ReceiverBusy(c.ioNet(dstION), cost, func() { op.commitDone(c) }); err != nil {
+				op.replicaCommitFailed(c, dstION, err)
+			}
 		}
 	}
 }
 
 func (op *RedistOp) commitDone(c *Cluster) {
-	op.pending--
-	if op.pending == 0 {
+	if op.pending--; op.pending == 0 {
 		op.seal(c)
 	}
 }
 
-// seal finishes the operation: final stats, PartialError derivation,
-// context release.
+// seal finishes the operation, once. A cancelled context fails it even
+// when no node outcome recorded the cancellation.
 func (op *RedistOp) seal(c *Cluster) {
-	if op.sealed {
-		return
+	if !op.sealed {
+		op.sealed = true
+		op.Stats.TNet = op.finish(c, op.ctx.Err())
 	}
-	op.sealed = true
-	op.Stats.TNet = c.K.Now() - op.started
-	err, degraded := op.outcomes.finalize()
-	if err != nil && op.Err == nil {
-		op.Err = err
-	}
-	if op.Err == nil {
-		if err := op.ctx.Err(); err != nil {
-			op.Err = err
-		}
-	}
-	if op.Err == nil && degraded != nil {
-		op.Degraded = degraded
-		c.met.degradedOps.Inc()
-	}
-	op.cancel()
-	stampTrace(op.Err, op.span)
-	c.finishOp(op.span, op.Err)
 }
 
 // StartRedistribute creates newName with the given physical partition
@@ -292,108 +257,130 @@ func (c *Cluster) startRedistribute(ctx context.Context, f *File, newPhys *part.
 		return nil, nil, c.abortStart(cancel, osp, err)
 	}
 	op := &RedistOp{
-		started: c.K.Now(),
-		ctx:     octx, cancel: cancel,
-		outcomes: newOutcomeSet("redistribute"),
-		failFast: c.cfg.FailFast,
-		nf:       nf,
-		span:     osp,
+		collective: c.newCollective("redistribute", octx, cancel, osp),
+		nf:         nf,
+		wins:       make([]dstWindow, newPhys.Pattern.Len()),
 	}
+	// Size the windows: every transfer's element-space bounds, folded
+	// per source and per destination subfile.
+	var xfers []windowXfer
+	srcLen := make([]int64, f.Phys.Pattern.Len())
+	dstLen := make([]int64, len(op.wins))
 	for i := range plan.Transfers {
 		t := &plan.Transfers[i]
 		srcHi, dstHi, bytes := t.Windows(plan.Period, length)
 		if bytes == 0 {
 			continue
 		}
-		srcION := f.Assign[t.SrcElem]
-		dstION := nf.Assign[t.DstElem]
-		if err := octx.Err(); err != nil {
-			op.outcomes.cancel(srcION, err)
-			op.aborted = true
-			break
+		xfers = append(xfers, windowXfer{t: t, index: i, srcHi: srcHi, dstHi: dstHi, bytes: bytes})
+		srcLen[t.SrcElem] = max(srcLen[t.SrcElem], srcHi+1)
+		dstLen[t.DstElem] = max(dstLen[t.DstElem], dstHi+1)
+	}
+	// The plan lists transfers in (source, destination) order, so each
+	// source subfile's transfers are one run.
+	for lo := 0; lo < len(xfers) && !op.aborted; {
+		hi := lo + 1
+		for hi < len(xfers) && xfers[hi].t.SrcElem == xfers[lo].t.SrcElem {
+			hi++
 		}
-
-		// Source I/O node: gather the shared bytes from the old
-		// subfile (real I/O), modeled as CPU work before the send.
-		// Unwritten holes read as zeroes, like any sparse file. A hard
-		// error fails over to the next source replica; only an
-		// exhausted placement group aborts the redistribution.
-		buf := c.getMsgBuf(bytes)
-		var gatherErr error
-		gathered := false
-		tg := time.Now()
-		for r := 0; r < f.Replication; r++ {
-			srcION = f.Placement[r][t.SrcElem]
-			if r > 0 {
-				c.met.failovers.Inc()
-			}
-			if gatherErr = f.growReplica(octx, r, t.SrcElem, srcHi+1); gatherErr == nil {
-				gatherErr = f.handle(r, t.SrcElem).Gather(octx, t.SrcProj, 0, srcHi, buf)
-			}
-			if gatherErr == nil {
-				gathered = true
-				break
-			}
-			if isCtxErr(gatherErr) || r+1 >= f.Replication {
-				break
-			}
-			// Tolerated source failure: record it (it surfaces in the
-			// Degraded report) without dooming the operation.
-			op.outcomes.fail(srcION, gatherErr)
-		}
-		if !gathered {
-			c.putMsgBuf(buf)
-			op.nodeFailed(srcION, gatherErr)
-			break
-		}
-		realGather := time.Since(tg)
-		op.Stats.GatherReal += realGather
-		op.outcomes.ok(srcION, bytes)
-		op.outcomes.group(fmt.Sprintf("xfer/%d", i), c.quorum)
-		c.met.gatherBytes.Add(bytes)
-		c.met.gatherNs.Observe(realGather.Nanoseconds())
-		c.met.ioBytes(srcION).Add(bytes)
-		segs := t.SrcProj.SegmentsIn(0, srcHi)
-		gatherNs := c.copyModelNs(bytes, segs)
-
-		op.pending++
-		op.Stats.Messages++
-		op.Stats.Bytes += bytes
-		c.met.recordNet(bytes)
-		key := fmt.Sprintf("xfer/%d", i)
-		srcNode := srcION // the replica that served the gather
-		dstProj := t.DstProj
-		dstElem := t.DstElem
-		dstSegs := dstProj.SegmentsIn(0, dstHi)
-		c.K.After(gatherNs, func() {
-			// A doomed operation skips the transfer: its payload could
-			// never commit.
-			if op.aborted || op.ctx.Err() != nil {
-				c.putMsgBuf(buf)
-				op.outcomes.cancel(dstION, ErrRedistAborted)
-				op.arrived(c)
-				return
-			}
-			err := c.Net.Send(c.ioNet(srcNode), c.ioNet(dstION), bytes, func() {
-				// Destination I/O node: stage the arrived buffer. The
-				// scatter into the new subfiles (every replica) waits
-				// for the commit point in settle().
-				op.staged = append(op.staged, stagedScatter{
-					key: key, dstElem: dstElem, dstION: dstION,
-					dstHi: dstHi, dstSegs: dstSegs, dstProj: dstProj,
-					buf: buf, bytes: bytes,
-				})
-				op.arrived(c)
-			})
-			if err != nil {
-				c.putMsgBuf(buf)
-				op.nodeFailed(dstION, err)
-				op.arrived(c)
-			}
-		})
+		op.moveSource(c, f, plan, xfers[lo:hi], srcLen[xfers[lo].t.SrcElem], dstLen, length)
+		lo = hi
 	}
 	if op.pending == 0 {
 		op.settle(c)
 	}
 	return nf, op, nil
+}
+
+// windowXfer is one plan transfer that moves bytes within the
+// redistributed length, with its element-space window bounds.
+type windowXfer struct {
+	t            *redist.Transfer
+	index        int // position in plan.Transfers: the quorum-group key
+	srcHi, dstHi int64
+	bytes        int64
+}
+
+// moveSource moves one source subfile's transfers into the destination
+// images: one contiguous read of the source window (real I/O; unwritten
+// holes read as zeroes, like any sparse file), then the plan's copy
+// runs in memory. A hard read error fails over to the next source
+// replica; only an exhausted placement group — or a context error, which
+// never fails over — aborts the redistribution.
+// The source image is released before returning, so at most one is
+// alive at a time. Each transfer is then sent on its own in virtual
+// time: gather cost at the source, the interconnect, staging on
+// arrival.
+func (op *RedistOp) moveSource(c *Cluster, f *File, plan *redist.Plan, xfers []windowXfer, srcLen int64, dstLen []int64, length int64) {
+	srcElem := xfers[0].t.SrcElem
+	src := c.getMsgBuf(srcLen)
+	tg := time.Now()
+	var srcION int
+	var err error
+	for r := 0; ; r++ {
+		srcION = f.Placement[r][srcElem]
+		err = f.handle(r, srcElem).ReadAt(op.ctx, src, 0)
+		if err == nil || isCtxErr(err) || r+1 >= f.Replication {
+			break
+		}
+		// Tolerated source failure: record it (it surfaces in the
+		// Degraded report) without dooming the operation.
+		op.outcomes.fail(srcION, err)
+		c.met.failovers.Inc()
+	}
+	for i := 0; i < len(xfers) && err == nil; i++ {
+		w := &op.wins[xfers[i].t.DstElem]
+		if w.img == nil {
+			// Pooled capacity arrives dirty; the image must read as a
+			// fresh (sparse) subfile wherever no transfer lands.
+			w.img = c.getMsgBuf(dstLen[xfers[i].t.DstElem])
+			clear(w.img)
+		}
+		err = plan.ExecuteTransfer(xfers[i].t, src, w.img, length)
+	}
+	c.putMsgBuf(src)
+	if err != nil {
+		op.nodeFailed(srcION, err)
+		return
+	}
+	realGather := time.Since(tg)
+	op.Stats.GatherReal += realGather
+	c.met.gatherNs.Observe(realGather.Nanoseconds())
+	for _, x := range xfers {
+		dstElem := x.t.DstElem
+		dstION := op.nf.Assign[dstElem]
+		st := stagedXfer{
+			key:     fmt.Sprintf("xfer/%d", x.index),
+			dstSegs: x.t.DstProj.SegmentsIn(0, x.dstHi),
+			bytes:   x.bytes,
+		}
+		op.outcomes.ok(srcION, x.bytes)
+		op.outcomes.group(st.key, c.quorum)
+		c.met.gatherBytes.Add(x.bytes)
+		c.met.ioBytes(srcION).Add(x.bytes)
+		op.pending++
+		op.Stats.Messages++
+		op.Stats.Bytes += x.bytes
+		c.met.recordNet(x.bytes)
+		c.K.After(c.copyModelNs(x.bytes, x.t.SrcProj.SegmentsIn(0, x.srcHi)), func() {
+			// A doomed operation skips the transfer: its payload could
+			// never commit.
+			if op.aborted || op.ctx.Err() != nil {
+				op.outcomes.cancel(dstION, ErrRedistAborted)
+				op.arrived(c)
+				return
+			}
+			err := c.Net.Send(c.ioNet(srcION), c.ioNet(dstION), st.bytes, func() {
+				// Destination I/O node: the transfer is staged. The
+				// write into the new subfiles (every replica) waits for
+				// the commit point in settle().
+				op.wins[dstElem].xfers = append(op.wins[dstElem].xfers, st)
+				op.arrived(c)
+			})
+			if err != nil {
+				op.nodeFailed(dstION, err)
+				op.arrived(c)
+			}
+		})
+	}
 }

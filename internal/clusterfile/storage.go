@@ -1,6 +1,7 @@
 package clusterfile
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -45,16 +46,38 @@ func RemoveStorage(st Storage) error {
 	return nil
 }
 
-// memStorage is the default in-memory store.
+// DiscardStorage closes an open store and deletes its backing medium —
+// the garbage collection of a superseded store generation. A store
+// with a Discard method does both in one step, without the final Sync a
+// plain Close implies: flushing a generation that is about to be
+// unlinked buys nothing. Any other store is closed, then removed.
+func DiscardStorage(st Storage) error {
+	if d, ok := st.(interface{ Discard() error }); ok {
+		return d.Discard()
+	}
+	if err := st.Close(); err != nil {
+		return err
+	}
+	return RemoveStorage(st)
+}
+
+// memStorage is the default in-memory store. Bytes between len and cap
+// of data are always zero: the store never shrinks and never writes
+// past its length.
 type memStorage struct {
 	data []byte
 }
 
+// EnsureLen keeps Len exact but grows the capacity geometrically:
+// every local data op grows inline, so append-shaped traffic would
+// otherwise reallocate — and copy — the whole store on every call.
 func (m *memStorage) EnsureLen(n int64) error {
-	if int64(len(m.data)) < n {
-		grown := make([]byte, n)
+	if int64(cap(m.data)) < n {
+		grown := make([]byte, n, max(n, 2*int64(cap(m.data))))
 		copy(grown, m.data)
 		m.data = grown
+	} else if int64(len(m.data)) < n {
+		m.data = m.data[:n]
 	}
 	return nil
 }
@@ -141,6 +164,11 @@ func (s *fileStorage) Close() error {
 		return err
 	}
 	return s.f.Close()
+}
+
+// Discard closes the file without syncing it and deletes it.
+func (s *fileStorage) Discard() error {
+	return errors.Join(s.f.Close(), s.Remove())
 }
 
 // Remove deletes the subfile's backing file. Call after Close; a

@@ -120,6 +120,65 @@ func TestMemStorageBounds(t *testing.T) {
 	}
 }
 
+// TestMemStorageAppendGrowth: append-shaped growth keeps Len exact at
+// every step (spare capacity never shows), keeps what was written, and
+// hands out zeroes for every newly exposed byte.
+func TestMemStorageAppendGrowth(t *testing.T) {
+	m := &memStorage{}
+	const step = 100
+	chunk := bytes.Repeat([]byte{0xEE}, step/2)
+	for n := int64(step); n <= 64*step; n += step {
+		if err := m.EnsureLen(n); err != nil {
+			t.Fatal(err)
+		}
+		if m.Len() != n {
+			t.Fatalf("Len = %d after EnsureLen(%d)", m.Len(), n)
+		}
+		if err := m.ReadAt(make([]byte, 1), n); err == nil {
+			t.Fatalf("read past Len %d reached spare capacity", n)
+		}
+		got := make([]byte, step)
+		if err := m.ReadAt(got, n-step); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, make([]byte, step)) {
+			t.Fatalf("bytes [%d,%d) exposed by growth are not zero", n-step, n)
+		}
+		// Half of each step is written, half stays a hole.
+		if err := m.WriteAt(chunk, n-step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := make([]byte, m.Len())
+	if err := m.ReadAt(all, 0); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(all); off += step {
+		if !bytes.Equal(all[off:off+step/2], chunk) || !bytes.Equal(all[off+step/2:off+step], make([]byte, step/2)) {
+			t.Fatalf("step at %d lost its content across later growth", off)
+		}
+	}
+}
+
+// BenchmarkMemStorageAppend4K appends a 4 MiB store in 4 KiB pieces,
+// growing before each piece the way every local data op does.
+func BenchmarkMemStorageAppend4K(b *testing.B) {
+	const piece, total = 4 << 10, 4 << 20
+	chunk := make([]byte, piece)
+	b.SetBytes(total)
+	for i := 0; i < b.N; i++ {
+		m := &memStorage{}
+		for off := int64(0); off < total; off += piece {
+			if err := m.EnsureLen(off + piece); err != nil {
+				b.Fatal(err)
+			}
+			if err := m.WriteAt(chunk, off); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestFileStorageBounds(t *testing.T) {
 	dir := t.TempDir()
 	st, err := DirStorageFactory(dir)("bounds", 0)
@@ -184,6 +243,41 @@ func TestStorageSync(t *testing.T) {
 	}
 	if string(got) != "durable!" {
 		t.Fatalf("on-disk content %q after sync+close", got)
+	}
+}
+
+// closeCounter is a Storage without a Discard method.
+type closeCounter struct {
+	Storage
+	closes int
+}
+
+func (c *closeCounter) Close() error { c.closes++; return c.Storage.Close() }
+
+// TestDiscardStorage: discarding a file-backed store closes and deletes
+// it in one step; a store without the capability is closed the plain
+// way.
+func TestDiscardStorage(t *testing.T) {
+	dir := t.TempDir()
+	st, err := DirStorageFactory(dir)("doomed", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.EnsureLen(8); err != nil {
+		t.Fatal(err)
+	}
+	if err := DiscardStorage(st); err != nil {
+		t.Fatalf("discard: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "doomed.subfile00")); !os.IsNotExist(err) {
+		t.Fatalf("backing file survived the discard: %v", err)
+	}
+	if err := st.Sync(); err == nil {
+		t.Error("store still open after the discard")
+	}
+	plain := &closeCounter{Storage: &memStorage{}}
+	if err := DiscardStorage(plain); err != nil || plain.closes != 1 {
+		t.Errorf("fallback discard: err %v, %d closes, want one plain Close", err, plain.closes)
 	}
 }
 

@@ -39,8 +39,15 @@ import (
 // selected regions within [lo, hi] of the subfile's linear space, so a
 // remote implementation ships one request per operation instead of one
 // per segment.
+//
+// Data ops grow: WriteAt, ReadAt, Scatter and Gather first grow the
+// subfile (zero filled) to cover the window they address, so a caller
+// never pairs them with an EnsureLen — over a remote transport that
+// would be a second, write-class round trip per operation. Unwritten
+// holes therefore read as zeroes, like any sparse file.
 type SubfileHandle interface {
-	// EnsureLen grows the subfile to at least n bytes (zero filled).
+	// EnsureLen grows the subfile to at least n bytes (zero filled) —
+	// for callers that mean "extend" without moving data.
 	EnsureLen(ctx context.Context, n int64) error
 	// Len returns the current subfile size.
 	Len(ctx context.Context) (int64, error)
@@ -99,13 +106,11 @@ type localTransport struct {
 func (t *localTransport) Open(ctx context.Context, name string, phys *part.File, assign []int) ([]SubfileHandle, error) {
 	handles := make([]SubfileHandle, len(assign))
 	for i := range assign {
-		if err := ctx.Err(); err != nil {
-			for _, h := range handles[:i] {
-				h.Close()
-			}
-			return nil, err
+		var st Storage
+		err := ctx.Err()
+		if err == nil {
+			st, err = t.factory(name, i)
 		}
-		st, err := t.factory(name, i)
 		if err != nil {
 			for _, h := range handles[:i] {
 				h.Close()
@@ -121,7 +126,8 @@ func (t *localTransport) Close() error { return nil }
 
 // localHandle adapts a Storage to the SubfileHandle interface. Local
 // stores cannot block, so observing ctx before each operation is the
-// whole cancellation story.
+// whole cancellation story; EnsureLen does that and the grow every data
+// op starts with.
 type localHandle struct {
 	st Storage
 }
@@ -141,14 +147,14 @@ func (h *localHandle) Len(ctx context.Context) (int64, error) {
 }
 
 func (h *localHandle) WriteAt(ctx context.Context, p []byte, off int64) error {
-	if err := ctx.Err(); err != nil {
+	if err := h.EnsureLen(ctx, off+int64(len(p))); err != nil {
 		return err
 	}
 	return h.st.WriteAt(p, off)
 }
 
 func (h *localHandle) ReadAt(ctx context.Context, p []byte, off int64) error {
-	if err := ctx.Err(); err != nil {
+	if err := h.EnsureLen(ctx, off+int64(len(p))); err != nil {
 		return err
 	}
 	return h.st.ReadAt(p, off)
@@ -157,14 +163,14 @@ func (h *localHandle) ReadAt(ctx context.Context, p []byte, off int64) error {
 func (h *localHandle) Close() error { return h.st.Close() }
 
 func (h *localHandle) Scatter(ctx context.Context, p *redist.Projection, lo, hi int64, data []byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := h.EnsureLen(ctx, hi+1); err != nil {
 		return err
 	}
 	return ScatterRange(h.st, data, p, lo, hi)
 }
 
 func (h *localHandle) Gather(ctx context.Context, p *redist.Projection, lo, hi int64, dst []byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := h.EnsureLen(ctx, hi+1); err != nil {
 		return err
 	}
 	return GatherRange(dst, h.st, p, lo, hi)
@@ -234,10 +240,7 @@ func ChecksumRange(store Storage, off, n int64) (uint32, error) {
 		pos += m
 	}
 	if pos < end {
-		// Zero-fill the tail beyond the store's length.
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf) // the tail beyond the store's length reads as zeroes
 		for pos < end {
 			m := end - pos
 			if m > checksumChunk {

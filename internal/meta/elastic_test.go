@@ -373,6 +373,50 @@ func TestElasticWriteRaceNeverTorn(t *testing.T) {
 
 // counterValue reads one counter from the registry (get-or-create, so
 // an untouched counter reads 0).
+// TestReadUnderFenceFlows: a ReadAt issued while a rebalance holds the
+// store fenced is served at the old epoch straight away — the right
+// bytes, not one stale retry. (A write-class grow ahead of every read
+// used to bounce off the fence and park the read in retryStale until
+// the commit.)
+func TestReadUnderFenceFlows(t *testing.T) {
+	tc := startElasticCluster(t, 3)
+	ctx := context.Background()
+	cl := tc.dial()
+	defer cl.Close()
+	for addr := range tc.daemons {
+		if _, err := cl.SetNode(ctx, addr, rpc.NodeActive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const size = 2 * 3 * 4096
+	f, err := cl.Create(ctx, "fenced", 4096, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := patternBuf(0, size)
+	if err := f.WriteAt(ctx, want, 0); err != nil {
+		t.Fatal(err)
+	}
+	mf := f.Placement()
+	if err := f.tr.SetEpoch(ctx, mf.StoreName, mf.Epoch, true); err != nil {
+		t.Fatalf("fence: %v", err)
+	}
+	defer f.tr.SetEpoch(ctx, mf.StoreName, mf.Epoch, false)
+	const staleRetries = "parafile_meta_stale_retries_total"
+	before := counterValue(t, tc.reg, staleRetries)
+	got := make([]byte, size)
+	if err := f.ReadAt(ctx, got, 0); err != nil {
+		t.Fatalf("read under fence: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("read under fence returned the wrong bytes")
+	}
+	if after := counterValue(t, tc.reg, staleRetries); after != before {
+		t.Fatalf("read under fence took %d stale retries, want 0", after-before)
+	}
+}
+
 func counterValue(t *testing.T, reg *obs.Registry, name string) uint64 {
 	t.Helper()
 	return reg.Counter(name).Value()

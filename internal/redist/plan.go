@@ -413,7 +413,8 @@ func (p *Plan) execute(src, dst [][]byte, length int64, workers int) error {
 	}
 	if workers == 1 {
 		for i := range p.Transfers {
-			if err := p.runTransfer(&p.Transfers[i], src, dst, length); err != nil {
+			t := &p.Transfers[i]
+			if err := p.ExecuteTransfer(t, src[t.SrcElem], dst[t.DstElem], length); err != nil {
 				return err
 			}
 		}
@@ -426,7 +427,8 @@ func (p *Plan) execute(src, dst [][]byte, length int64, workers int) error {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(p.Transfers); i += workers {
-				if err := p.runTransfer(&p.Transfers[i], src, dst, length); err != nil {
+				t := &p.Transfers[i]
+				if err := p.ExecuteTransfer(t, src[t.SrcElem], dst[t.DstElem], length); err != nil {
 					errs[w] = err
 					return
 				}
@@ -442,9 +444,12 @@ func (p *Plan) execute(src, dst [][]byte, length int64, workers int) error {
 	return nil
 }
 
-func (p *Plan) runTransfer(t *Transfer, src, dst [][]byte, length int64) error {
-	sbuf := src[t.SrcElem]
-	dbuf := dst[t.DstElem]
+// ExecuteTransfer applies one of the plan's transfers for the first
+// length file bytes: sbuf is the linear space of t's source element,
+// dbuf that of its destination element. It is the unit Execute runs per
+// transfer, exported for callers that hold one element image at a time
+// (the cluster's windowed disk redistribution).
+func (p *Plan) ExecuteTransfer(t *Transfer, sbuf, dbuf []byte, length int64) error {
 	srcPeriod := t.SrcProj.Period
 	dstPeriod := t.DstProj.Period
 	for k := int64(0); k*p.Period < length; k++ {

@@ -751,17 +751,18 @@ func (s *Server) handleClose(out, payload []byte, sp *obs.Span) []byte {
 		sf.mu.Lock()
 		lw.End()
 		// Closing a disk-backed store syncs it — the op's fsync cost.
-		// A removing close then deletes the backing file, reclaiming
-		// the superseded generation's disk.
+		// A removing close deletes the backing file instead, reclaiming
+		// the superseded generation's disk without flushing it first.
 		fsp := sp.StartChild("fsync")
 		for _, st := range sf.stores {
-			if err := st.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			var err error
 			if req.Remove {
-				if err := clusterfile.RemoveStorage(st); err != nil && firstErr == nil {
-					firstErr = err
-				}
+				err = clusterfile.DiscardStorage(st)
+			} else {
+				err = st.Close()
+			}
+			if err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 		fsp.End()

@@ -251,7 +251,10 @@ func (r *fileRef) release() error {
 	return r.c.CloseFile(context.Background(), r.file)
 }
 
-// remoteHandle is one subfile on a remote daemon.
+// remoteHandle is one subfile on a remote daemon. The handle contract's
+// "data ops grow" is the daemon's: the openSeg prelude of every segment
+// operation grows the store to Hi+1, so no data op sends an EnsureLen
+// ahead of itself.
 type remoteHandle struct {
 	c       *Client
 	file    string

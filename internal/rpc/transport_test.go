@@ -11,6 +11,7 @@ import (
 	"parafile/internal/clusterfile"
 	"parafile/internal/obs"
 	"parafile/internal/part"
+	"parafile/internal/qos"
 	"parafile/internal/rpc"
 )
 
@@ -349,5 +350,64 @@ func TestTransportSurvivesProjectionLoss(t *testing.T) {
 	}
 	if sets >= writes {
 		t.Fatalf("SetView traveled %d times vs %d writes — registration is not amortized", sets, writes)
+	}
+}
+
+// TestViewReadAdmittedOncePerDeliveryAsRead: against a daemon with
+// admission control, a collective view read is admitted exactly once
+// per subfile delivery, in the read class — never as a write (the
+// grow-first round trip it used to send made every read eligible for
+// oldest-write shedding), and a view write once per delivery as a
+// write.
+func TestViewReadAdmittedOncePerDeliveryAsRead(t *testing.T) {
+	const n = 32
+	reg := obs.NewRegistry()
+	lim := qos.NewLimiter(qos.Config{Metrics: reg})
+	tr, err := rpc.NewTransport([]string{startDaemon(t, rpc.ServerConfig{QoS: lim})}, rpc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	cfg := clusterfile.DefaultConfig()
+	cfg.Transport = tr
+	w, err := bench.NewWorkloadWithConfig("c", n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := func(op string) uint64 {
+		return reg.Counter(qos.MetricAdmitted + `{op="` + op + `"}`).Value()
+	}
+	// Row-block views over column-block subfiles: every view op is one
+	// delivery to each of the 4 subfiles.
+	const deliveries = 4
+	per := int64(n * n / 4)
+	wop, err := w.Views[0].StartWrite(clusterfile.ToBufferCache, 0, per-1, w.ViewBuf(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Cluster.RunAll()
+	if wop.Err != nil {
+		t.Fatal(wop.Err)
+	}
+	if got := admitted("write"); got != deliveries {
+		t.Fatalf("view write admitted %d write ops, want %d (one per delivery)", got, deliveries)
+	}
+	out := make([]byte, per)
+	rop, err := w.Views[0].StartRead(0, per-1, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Cluster.RunAll()
+	if rop.Err != nil {
+		t.Fatal(rop.Err)
+	}
+	if !bytes.Equal(out, w.ViewBuf(0)) {
+		t.Fatal("view read-back differs")
+	}
+	if got := admitted("read"); got != deliveries {
+		t.Errorf("view read admitted %d read ops, want %d (one per delivery)", got, deliveries)
+	}
+	if got := admitted("write"); got != deliveries {
+		t.Errorf("view read was admitted %d times in the write class", got-deliveries)
 	}
 }
