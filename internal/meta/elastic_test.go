@@ -68,7 +68,13 @@ func startElasticCluster(t *testing.T, dataNodes int) *testCluster {
 // add-node path under test).
 func (tc *testCluster) startDaemon() string {
 	tc.t.Helper()
-	srv := rpc.NewServer(rpc.ServerConfig{Metrics: tc.reg})
+	return tc.startDaemonWith(rpc.ServerConfig{Metrics: tc.reg})
+}
+
+// startDaemonWith is startDaemon with the daemon's configuration.
+func (tc *testCluster) startDaemonWith(cfg rpc.ServerConfig) string {
+	tc.t.Helper()
+	srv := rpc.NewServer(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tc.t.Fatal(err)
@@ -399,10 +405,11 @@ func TestReadUnderFenceFlows(t *testing.T) {
 		t.Fatal(err)
 	}
 	mf := f.Placement()
-	if err := f.tr.SetEpoch(ctx, mf.StoreName, mf.Epoch, true); err != nil {
+	tr := cl.transport(mf.Nodes)
+	if err := tr.SetEpoch(ctx, mf.StoreName, mf.Epoch, true); err != nil {
 		t.Fatalf("fence: %v", err)
 	}
-	defer f.tr.SetEpoch(ctx, mf.StoreName, mf.Epoch, false)
+	defer tr.SetEpoch(ctx, mf.StoreName, mf.Epoch, false)
 	const staleRetries = "parafile_meta_stale_retries_total"
 	before := counterValue(t, tc.reg, staleRetries)
 	got := make([]byte, size)

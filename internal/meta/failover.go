@@ -27,16 +27,57 @@ import (
 // (worst case ~2x ElectionTimeoutMax) with margin.
 const mdFailoverAttempts = 16
 
-// mdClient fans a single-client call surface over multiple metadata
-// endpoints with leader discovery and failover.
-type mdClient struct {
-	endpoints []string
-	template  rpc.ClientConfig
+// clientPool holds one rpc.Client per address, built from a template
+// on first use and closed together. A closed pool hands out only
+// closed clients, so calls through it fail instead of redialing.
+type clientPool struct {
+	template rpc.ClientConfig
 
 	mu      sync.Mutex
 	clients map[string]*rpc.Client
-	cur     int // index into endpoints of the last-good node
-	rng     *rand.Rand
+	closed  bool
+}
+
+func newClientPool(template rpc.ClientConfig) *clientPool {
+	return &clientPool{template: template, clients: make(map[string]*rpc.Client)}
+}
+
+// get returns the pool's client for addr, building it if needed.
+func (p *clientPool) get(addr string) *rpc.Client {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cl := p.clients[addr]
+	if cl == nil {
+		cfg := p.template
+		cfg.Addr = addr
+		cl = rpc.NewClient(cfg)
+		if p.closed {
+			cl.Close()
+		}
+		p.clients[addr] = cl
+	}
+	return cl
+}
+
+// close closes every client of the pool.
+func (p *clientPool) close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	for _, cl := range p.clients {
+		cl.Close()
+	}
+}
+
+// mdClient fans a single-client call surface over multiple metadata
+// endpoints with leader discovery and failover.
+type mdClient struct {
+	pool *clientPool
+
+	mu        sync.Mutex
+	endpoints []string
+	cur       int // index into endpoints of the last-good node
+	rng       *rand.Rand
 
 	backoff      time.Duration
 	metFailovers *obs.Counter
@@ -48,9 +89,8 @@ func newMDClient(endpoints []string, template rpc.ClientConfig, reg *obs.Registr
 		endpoints = []string{""}
 	}
 	m := &mdClient{
+		pool:      newClientPool(template),
 		endpoints: endpoints,
-		template:  template,
-		clients:   make(map[string]*rpc.Client, len(endpoints)),
 		rng:       rand.New(rand.NewSource(time.Now().UnixNano())),
 		backoff:   25 * time.Millisecond,
 	}
@@ -71,33 +111,12 @@ func splitEndpoints(addr string) []string {
 	return out
 }
 
-func (m *mdClient) Close() error {
+// client returns the pooled client for the current endpoint.
+func (m *mdClient) client() *rpc.Client {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	var first error
-	for _, cl := range m.clients {
-		if err := cl.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	m.clients = make(map[string]*rpc.Client)
-	return first
-}
-
-// client returns (building if needed) the pooled client for the
-// current endpoint.
-func (m *mdClient) client() (*rpc.Client, string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	addr := m.endpoints[m.cur]
-	cl := m.clients[addr]
-	if cl == nil {
-		cfg := m.template
-		cfg.Addr = addr
-		cl = rpc.NewClient(cfg)
-		m.clients[addr] = cl
-	}
-	return cl, addr
+	m.mu.Unlock()
+	return m.pool.get(addr)
 }
 
 // failover moves to the hinted leader when one was named (adding it to
@@ -146,8 +165,7 @@ func (m *mdClient) do(ctx context.Context, fn func(context.Context, *rpc.Client)
 			case <-time.After(d):
 			}
 		}
-		cl, _ := m.client()
-		err := fn(ctx, cl)
+		err := fn(ctx, m.client())
 		if err == nil {
 			return nil
 		}

@@ -20,12 +20,23 @@ import (
 // through the clusterfile collective protocol against the placement's
 // data daemons. When a daemon answers ErrStalePlacement — the file was
 // rebalanced under the client — the client refetches the map from the
-// service, retires connections to nodes that left the
-// placement, reopens the new generation and retries transparently.
+// service, rebinds the new generation over the same daemon clients and
+// retries transparently.
+//
+// An FS holds one rpc.Client per daemon address, shared by every file,
+// every rebind and every rebalance it runs: one connection, one
+// breaker, one RetryAfter pace gate and one projection registration
+// table per daemon for the whole process, as §8's compute node sets a
+// view once and reuses it. Clients are built on first use and closed
+// only by FS.Close; a daemon that leaves every placement keeps an idle
+// client (one map entry, at most one idle socket) until then.
 
 // Options configures Dial.
 type Options struct {
-	// Client is the per-daemon client template (Addr is set by the FS).
+	// Client is the template of the FS's one client per daemon, data
+	// and metadata alike (Addr is set per daemon, Metrics is taken
+	// from Options.Metrics, and Trace is forced on for the data
+	// daemons when Tracer is set).
 	Client rpc.ClientConfig
 	// OpTimeout bounds every collective data operation (zero: none).
 	OpTimeout time.Duration
@@ -53,6 +64,7 @@ type Options struct {
 // them).
 type FS struct {
 	md   *mdClient
+	data *clientPool // the data daemons' clients, by address
 	opts Options
 
 	metStale      *obs.Counter
@@ -74,7 +86,17 @@ func Dial(addr string, opts Options) *FS {
 	}
 	cfg := opts.Client
 	cfg.Metrics = opts.Metrics
-	fs := &FS{md: newMDClient(splitEndpoints(addr), cfg, opts.Metrics), opts: opts}
+	data := cfg
+	if opts.Tracer != nil {
+		// Data ops — rebalance copies included — then show up in the
+		// daemons' /debug/trace.
+		data.Trace = true
+	}
+	fs := &FS{
+		md:   newMDClient(splitEndpoints(addr), cfg, opts.Metrics),
+		data: newClientPool(data),
+		opts: opts,
+	}
 	if reg := opts.Metrics; reg != nil {
 		fs.metStale = reg.Counter("parafile_meta_stale_retries_total")
 		fs.metRebalances = reg.Counter("parafile_rebalance_total")
@@ -84,8 +106,13 @@ func Dial(addr string, opts Options) *FS {
 	return fs
 }
 
-// Close releases the metadata connection pool.
-func (fs *FS) Close() error { return fs.md.Close() }
+// Close closes the FS's metadata and data-daemon clients. Files still
+// open on it fail their later operations instead of redialing.
+func (fs *FS) Close() error {
+	fs.md.pool.close()
+	fs.data.close()
+	return nil
+}
 
 // List returns the namespace.
 func (fs *FS) List(ctx context.Context) ([]*rpc.MetaFile, error) {
@@ -135,33 +162,22 @@ func (fs *FS) Open(ctx context.Context, name string) (*File, error) {
 }
 
 func (fs *FS) open(ctx context.Context, mf *rpc.MetaFile) (*File, error) {
-	tr, err := rpc.NewTransport(mf.Nodes, fs.transportOptions())
-	if err != nil {
-		return nil, err
-	}
-	f := &File{fs: fs, name: mf.Name, tr: tr}
+	f := &File{fs: fs, name: mf.Name}
 	if err := f.bind(ctx, mf); err != nil {
-		tr.Close()
 		return nil, err
 	}
 	return f, nil
 }
 
-// transportOptions is the shared data-daemon transport template:
-// reopen-without-truncate semantics (several clients and the rebalance
-// driver share the stores), and tracing on whenever the FS has a
-// tracer so data ops — rebalance copies included — show up in the
-// daemons' /debug/trace.
-func (fs *FS) transportOptions() rpc.Options {
-	client := fs.opts.Client
-	if fs.opts.Tracer != nil {
-		client.Trace = true
+// transport is a view of the FS's shared data clients in the given
+// node order, with reopen-without-truncate semantics: several clients
+// and the rebalance driver share the stores.
+func (fs *FS) transport(nodes []string) *rpc.Transport {
+	clients := make([]*rpc.Client, len(nodes))
+	for i, addr := range nodes {
+		clients[i] = fs.data.get(addr)
 	}
-	return rpc.Options{
-		Client:  client,
-		Reopen:  true,
-		Metrics: fs.opts.Metrics,
-	}
+	return rpc.NewTransportOver(clients, rpc.Options{Reopen: true})
 }
 
 // clusterConfig is the per-placement cluster template.
@@ -224,16 +240,13 @@ type File struct {
 
 	mu      sync.Mutex
 	mf      *rpc.MetaFile
-	tr      *rpc.Transport
 	cluster *clusterfile.Cluster
 	cf      *clusterfile.File
 	view    *clusterfile.View
 }
 
 // bind (re)builds the cluster, file handles and identity view for the
-// given placement map. The transport persists across binds — Update
-// reconciles its per-daemon pools, retiring connections to nodes that
-// left the placement.
+// given placement map, over a view of the FS's shared daemon clients.
 func (f *File) bind(ctx context.Context, mf *rpc.MetaFile) error {
 	if len(mf.Nodes) == 0 || len(mf.Assign) == 0 {
 		return fmt.Errorf("meta: %q has an empty placement", mf.Name)
@@ -241,7 +254,6 @@ func (f *File) bind(ctx context.Context, mf *rpc.MetaFile) error {
 	if mf.Replication < 1 || mf.Replication > len(mf.Nodes) {
 		return fmt.Errorf("meta: %q replication %d over %d nodes", mf.Name, mf.Replication, len(mf.Nodes))
 	}
-	f.tr.Update(mf.Nodes)
 	phys, err := stripePattern(len(mf.Assign), mf.StripeBytes)
 	if err != nil {
 		return err
@@ -250,7 +262,7 @@ func (f *File) bind(ctx context.Context, mf *rpc.MetaFile) error {
 	if err != nil {
 		return err
 	}
-	cluster, err := clusterfile.New(f.fs.clusterConfig(len(mf.Nodes), f.tr))
+	cluster, err := clusterfile.New(f.fs.clusterConfig(len(mf.Nodes), f.fs.transport(mf.Nodes)))
 	if err != nil {
 		return err
 	}
@@ -305,14 +317,10 @@ func (f *File) Length() int64 {
 	return f.mf.Length
 }
 
-// Close drops the data-daemon connection pools. The daemons' stores
-// stay open — names are shared state owned by the metadata service,
-// not by any one client.
-func (f *File) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.tr.Close()
-}
+// Close releases nothing: the daemon clients belong to the FS and
+// close with FS.Close, and the daemons' stores stay open — names are
+// shared state owned by the metadata service, not by any one client.
+func (f *File) Close() error { return nil }
 
 // staleErr reports whether any failure in err's tree means the
 // client's placement view is out of date — a stale-placement verdict,

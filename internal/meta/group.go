@@ -432,7 +432,8 @@ func (g *Group) campaign() {
 		}()
 	}
 	votes := 1 // self
-	for range g.peers {
+	// Counting stops at quorum — before any ballot in a 1-member group.
+	for i := 0; i < len(g.peers) && votes < g.quorum; i++ {
 		var b ballot
 		select {
 		case b = <-results:
@@ -448,10 +449,9 @@ func (g *Group) campaign() {
 		if b.granted {
 			votes++
 		}
-		if votes >= g.quorum {
-			g.becomeLeader(term)
-			return
-		}
+	}
+	if votes >= g.quorum {
+		g.becomeLeader(term)
 	}
 }
 
@@ -672,8 +672,11 @@ func (g *Group) replicate(ctx context.Context, r Replication) error {
 		}
 		if rp.resp.Term > term {
 			// Deposed mid-round. We hold the store lock, so step down
-			// asynchronously; refuse this mutation either way.
+			// asynchronously; refuse this mutation either way. The
+			// lease goes now, so the service answers this refusal
+			// with a NotLeader redirect.
 			higher := rp.resp.Term
+			g.leaseUntil.Store(0)
 			go g.adoptTerm(higher, "")
 			return fmt.Errorf("meta: deposed by term %d", higher)
 		}

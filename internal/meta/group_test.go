@@ -31,8 +31,9 @@ type groupCluster struct {
 	t     *testing.T
 	nodes []*groupNode
 	addrs []string
-	// storeFault, when non-nil, interposes on every node's log appends.
-	storeFault *fault.Injector
+	// fault, when non-nil, interposes on every node's log appends and
+	// on its group's replication rounds and campaigns.
+	fault *fault.Injector
 }
 
 const (
@@ -46,9 +47,9 @@ func startGroupCluster(t *testing.T, n int) *groupCluster {
 	return startFaultyGroupCluster(t, n, nil)
 }
 
-func startFaultyGroupCluster(t *testing.T, n int, storeFault *fault.Injector) *groupCluster {
+func startFaultyGroupCluster(t *testing.T, n int, inj *fault.Injector) *groupCluster {
 	t.Helper()
-	gc := &groupCluster{t: t, storeFault: storeFault}
+	gc := &groupCluster{t: t, fault: inj}
 	listeners := make([]net.Listener, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -68,7 +69,7 @@ func startFaultyGroupCluster(t *testing.T, n int, storeFault *fault.Injector) *g
 func (gc *groupCluster) startNode(dir string, ln net.Listener, addr string) *groupNode {
 	gc.t.Helper()
 	reg := obs.NewRegistry()
-	store, err := OpenStore(dir, StoreConfig{Metrics: reg, Fault: gc.storeFault})
+	store, err := OpenStore(dir, StoreConfig{Metrics: reg, Fault: gc.fault})
 	if err != nil {
 		gc.t.Fatalf("OpenStore: %v", err)
 	}
@@ -81,6 +82,7 @@ func (gc *groupCluster) startNode(dir string, ln net.Listener, addr string) *gro
 		LeaseDuration:      testLease,
 		ReplTimeout:        500 * time.Millisecond,
 		Metrics:            reg,
+		Fault:              gc.fault,
 	})
 	if err != nil {
 		gc.t.Fatalf("NewGroup: %v", err)
@@ -388,5 +390,69 @@ func TestGroupFollowerRepair(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		waitConverged(t, gc, fmt.Sprintf("file-%d", i))
+	}
+}
+
+// TestGroupSingleMemberElectsItself: a group whose only peer is itself
+// has its quorum of one before any ballot, so it leads at once instead
+// of campaigning forever.
+func TestGroupSingleMemberElectsItself(t *testing.T) {
+	st, err := OpenStore(t.TempDir(), StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	self := "127.0.0.1:1"
+	g, err := NewGroup(GroupConfig{Self: self, Peers: []string{self}, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	defer g.Stop()
+	for deadline := time.Now().Add(2 * time.Second); !g.IsLeader(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			st := g.Status()
+			t.Fatalf("1-member group still %v at term %d after 2s", st.Role, st.Term)
+		}
+	}
+	if got := g.Status().Term; got != 1 {
+		t.Fatalf("elected at term %d, want 1", got)
+	}
+}
+
+// TestGroupDeposedMidRoundRedirects: a leader deposed while one of its
+// mutations is in its replication round refuses that mutation with a
+// NotLeader redirect, not an I/O error, so the client's leader chase
+// lands it on the new leader.
+func TestGroupDeposedMidRoundRedirects(t *testing.T) {
+	// Hold the first replication round (the SetNode below) long enough
+	// for a new leader to be elected underneath it.
+	inj := fault.NewInjector(fault.Plan{Rules: []fault.Rule{
+		{Node: fault.AnyNode, Op: fault.OpMetaReplicate, Kind: fault.Delay, Delay: 1500 * time.Millisecond, Times: 1},
+	}}, nil)
+	gc := startFaultyGroupCluster(t, 3, inj)
+	leader := gc.waitLeader()
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	cl := gc.dial(reg)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.SetNode(ctx, "d1:1", rpc.NodeActive)
+		done <- err
+	}()
+	waitFired(t, inj)
+	leader.group.suspendHeartbeats(true)
+	defer leader.group.suspendHeartbeats(false)
+	next := gc.waitLeader(leader)
+	if err := <-done; err != nil {
+		t.Fatalf("SetNode across the deposition: %v", err)
+	}
+	if n := reg.Counter("parafile_meta_failovers_total").Value(); n == 0 {
+		t.Fatal("SetNode succeeded without a failover: the round was not refused")
+	}
+	nodes := next.store.Nodes()
+	if len(nodes) != 1 || nodes[0].Addr != "d1:1" || nodes[0].State != rpc.NodeActive {
+		t.Fatalf("new leader holds membership %+v, want d1:1 active", nodes)
 	}
 }

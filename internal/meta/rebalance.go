@@ -13,7 +13,7 @@ import (
 
 // defaultRebalanceWorkers bounds concurrent per-file rebalances in
 // RebalanceAll when Options.RebalanceWorkers is zero. Each file's move
-// is independent (its own fence, union transport, and CAS commit), so
+// is independent (its own fence, union cluster, and CAS commit), so
 // a small pool overlaps transfer time without flooding the daemons.
 const defaultRebalanceWorkers = 4
 
@@ -116,11 +116,7 @@ func (fs *FS) Rebalance(ctx context.Context, name string) (*RebalanceResult, err
 // sequence for one placement change.
 func (fs *FS) rebalanceOnce(ctx context.Context, mf *rpc.MetaFile, target []string) (*RebalanceResult, error) {
 	union, index := unionNodes(mf.Nodes, target)
-	tr, err := rpc.NewTransport(union, fs.transportOptions())
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Close()
+	tr := fs.transport(union)
 	cluster, err := clusterfile.New(fs.clusterConfig(len(union), tr))
 	if err != nil {
 		return nil, err

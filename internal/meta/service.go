@@ -393,8 +393,15 @@ func (s *Service) handleNode(payload []byte) []byte {
 	return rpc.AppendMetaNodesResp(nil, nodes)
 }
 
-// storeErr maps a store error onto the wire's error codes.
+// storeErr maps a store error onto the wire's error codes. A mutation
+// refused by a leader that lost its term mid-round answers NotLeader,
+// so the client's leader chase retries it on the new leader.
 func (s *Service) storeErr(err error) []byte {
+	if errors.Is(err, ErrNotCommitted) {
+		if resp := s.notLeader(); resp != nil {
+			return resp
+		}
+	}
 	switch {
 	case errors.Is(err, ErrNotFound):
 		return s.errResp(rpc.ErrCodeUnknownFile, err.Error())

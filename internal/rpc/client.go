@@ -293,35 +293,17 @@ func (c *Client) paceRelease() { c.paceSlots.Add(-1) }
 // Addr returns the node address the client was built for.
 func (c *Client) Addr() string { return c.cfg.Addr }
 
-// Close tears the node's connection down; in-flight calls fail.
+// Close tears the node's connection down; in-flight calls fail, and
+// so does every later call.
 func (c *Client) Close() error {
-	c.teardown("is closed")
-	return nil
-}
-
-// Retire closes the client like Close, counting a torn-down connection
-// under parafile_pool_discards{kind="retired"}. The meta layer calls it
-// when a placement refresh drops the node from the map: a connection
-// to a node that no longer serves the file is dead weight.
-func (c *Client) Retire() error {
-	if c.teardown("retired by placement refresh") {
-		c.met.poolRetired.Inc()
-	}
-	return nil
-}
-
-// teardown marks the client closed and fails its connection, reporting
-// whether there was one.
-func (c *Client) teardown(why string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	m := c.mux
-	c.mux = nil
-	if m != nil {
-		m.fail(fmt.Errorf("rpc: client for %s %s", c.cfg.Addr, why))
+	if c.mux != nil {
+		c.mux.fail(fmt.Errorf("rpc: client for %s is closed", c.cfg.Addr))
+		c.mux = nil
 	}
-	return m != nil
+	return nil
 }
 
 // getMux returns the node's live connection, dialing one if needed.

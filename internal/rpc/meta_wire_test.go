@@ -285,41 +285,3 @@ func TestServerEpochFence(t *testing.T) {
 		t.Fatal("zero-epoch SetEpoch accepted")
 	}
 }
-
-// TestTransportUpdateRetires checks the placement-refresh pool
-// hygiene: endpoints dropped from the map have their pooled
-// connections retired (counted under pool_discards{kind="retired"}),
-// kept endpoints keep their client, new endpoints dial fresh.
-func TestTransportUpdateRetires(t *testing.T) {
-	reg := obs.NewRegistry()
-	a1 := startTestDaemon(t, reg)
-	a2 := startTestDaemon(t, reg)
-	a3 := startTestDaemon(t, reg)
-
-	tr, err := NewTransport([]string{a1, a2}, Options{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	ctx := context.Background()
-	// Warm a pooled connection to both daemons (SetEpoch fans out).
-	if err := tr.SetEpoch(ctx, "warm", 1, false); err != nil {
-		t.Fatalf("warming pools: %v", err)
-	}
-	before := reg.Counter(MetricPoolDiscards + `{kind="retired"}`).Value()
-
-	tr.Update([]string{a2, a3})
-	got := tr.Endpoints()
-	if len(got) != 2 || got[0] != a2 || got[1] != a3 {
-		t.Fatalf("Endpoints after update = %v, want [%s %s]", got, a2, a3)
-	}
-	after := reg.Counter(MetricPoolDiscards + `{kind="retired"}`).Value()
-	if after <= before {
-		t.Fatalf("pool_discards{kind=retired} did not grow: %d -> %d", before, after)
-	}
-	// The reconciled transport still works: kept and new endpoints
-	// answer, the dropped one is gone.
-	if err := tr.SetEpoch(ctx, "warm", 2, false); err != nil {
-		t.Fatalf("SetEpoch after update: %v", err)
-	}
-}

@@ -57,10 +57,10 @@ const (
 	// distinguished by a lowercase kind label — {kind="frame"} mirrors
 	// the process-wide FramePoolDiscards counter (refreshed on the
 	// server request path), {kind="msgbuf"} the clusterfile message
-	// buffers, {kind="retired"} the connections Client.Retire closes
-	// when a placement refresh drops a node from the map. Each kind is
-	// bound exactly once, at metrics construction, never at the refresh
-	// sites.
+	// buffers. Each kind is bound exactly once, at metrics
+	// construction, never at the refresh sites. Connections are not a
+	// pool kind: a client holds one per daemon and closes it only with
+	// Client.Close.
 	MetricPoolDiscards = "parafile_pool_discards"
 
 	// Circuit breaker (per I/O node, labelled by address): the state
@@ -99,10 +99,6 @@ type clientMetrics struct {
 	streamedR   *obs.Counter
 	chunksSent  *obs.Counter
 	chunksRecvd *obs.Counter
-	// poolRetired counts connections closed by Client.Retire when a
-	// placement refresh drops the node from the map — a third discard
-	// kind alongside the frame and msgbuf retention caps.
-	poolRetired *obs.Counter
 }
 
 func newClientMetrics(reg *obs.Registry) clientMetrics {
@@ -122,7 +118,6 @@ func newClientMetrics(reg *obs.Registry) clientMetrics {
 		streamedR:   reg.Counter(MetricClientStreamedOps + `{dir="read"}`),
 		chunksSent:  reg.Counter(MetricClientChunks + `{dir="sent"}`),
 		chunksRecvd: reg.Counter(MetricClientChunks + `{dir="received"}`),
-		poolRetired: reg.Counter(MetricPoolDiscards + `{kind="retired"}`),
 	}
 }
 

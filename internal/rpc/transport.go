@@ -43,90 +43,48 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Transport implements clusterfile.Transport over TCP.
+// Transport implements clusterfile.Transport over TCP. It is an
+// immutable view: node i maps onto clients[i%len(clients)] for its
+// whole life.
 type Transport struct {
-	opts     Options
+	clients  []*Client
 	reopen   bool
 	degraded bool
-
-	mu      sync.RWMutex
-	clients []*Client
+	// owned is set when NewTransport built the clients, so Close
+	// closes them; a view over someone else's clients leaves them be.
+	owned bool
 }
 
 var _ clusterfile.Transport = (*Transport)(nil)
 
 // NewTransport builds a transport over the given daemon endpoints
-// (host:port each), one client per endpoint.
+// (host:port each), one fresh client per endpoint; its Close closes
+// them.
 func NewTransport(addrs []string, opts Options) (*Transport, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("rpc: transport needs at least one endpoint")
 	}
-	t := &Transport{opts: opts, reopen: opts.Reopen, degraded: opts.DegradedOpen}
-	for _, addr := range addrs {
-		t.clients = append(t.clients, t.newClient(addr))
+	clients := make([]*Client, len(addrs))
+	for i, addr := range addrs {
+		cfg := opts.Client
+		cfg.Addr = addr
+		if opts.Metrics != nil {
+			cfg.Metrics = opts.Metrics
+		}
+		clients[i] = NewClient(cfg)
 	}
+	t := NewTransportOver(clients, opts)
+	t.owned = true
 	return t, nil
 }
 
-func (t *Transport) newClient(addr string) *Client {
-	cfg := t.opts.Client
-	cfg.Addr = addr
-	if t.opts.Metrics != nil {
-		cfg.Metrics = t.opts.Metrics
-	}
-	return NewClient(cfg)
-}
-
-// Update reconciles the endpoint list after a placement refresh:
-// clients for endpoints still present are kept (their connections
-// survive), new endpoints get fresh clients, and clients for endpoints
-// no longer in the map are retired — their connections close now,
-// counted under parafile_pool_discards{kind="retired"}, instead of
-// idling. Handles open before the update keep their client pointers;
-// operations on a retired client fail, which sends the caller back
-// through its placement-refresh path.
-func (t *Transport) Update(addrs []string) {
-	t.mu.Lock()
-	old := t.clients
-	kept := make(map[*Client]bool, len(old))
-	byAddr := make(map[string]*Client, len(old))
-	for _, c := range old {
-		byAddr[c.Addr()] = c
-	}
-	next := make([]*Client, 0, len(addrs))
-	for _, addr := range addrs {
-		if c, ok := byAddr[addr]; ok && !kept[c] {
-			kept[c] = true
-			next = append(next, c)
-			continue
-		}
-		next = append(next, t.newClient(addr))
-	}
-	t.clients = next
-	t.mu.Unlock()
-	for _, c := range old {
-		if !kept[c] {
-			c.Retire()
-		}
-	}
-}
-
-// Endpoints returns the current endpoint list, in node order.
-func (t *Transport) Endpoints() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	addrs := make([]string, len(t.clients))
-	for i, c := range t.clients {
-		addrs[i] = c.Addr()
-	}
-	return addrs
-}
-
-// nodeClient maps an I/O node id onto a daemon.
-func (t *Transport) nodeClient(ioNode int) *Client {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.clients[ioNode%len(t.clients)]
+// NewTransportOver builds a transport over existing clients in node
+// order (at least one). Only opts.Reopen and opts.DegradedOpen apply:
+// the clients carry their own configuration. The caller keeps
+// ownership — Close leaves the clients open — so any number of views
+// can share one client per daemon.
+func NewTransportOver(clients []*Client, opts Options) *Transport {
+	return &Transport{clients: clients, reopen: opts.Reopen, degraded: opts.DegradedOpen}
 }
 
 // Open registers the file on every involved daemon and returns one
@@ -143,9 +101,7 @@ func (t *Transport) OpenEpoch(ctx context.Context, name string, phys *part.File,
 	physEnc := codec.EncodeFile(phys)
 	// Group the subfiles by daemon, preserving client order so the
 	// CreateFile fan-out is deterministic.
-	t.mu.RLock()
 	clients := t.clients
-	t.mu.RUnlock()
 	perClient := make(map[*Client][]int)
 	for sub, node := range assign {
 		c := clients[node%len(clients)]
@@ -190,11 +146,8 @@ func (t *Transport) OpenEpoch(ctx context.Context, name string, phys *part.File,
 // ratchets the file's stores to the epoch and raises or clears the
 // write fence. Daemons holding no store of the file answer OK.
 func (t *Transport) SetEpoch(ctx context.Context, file string, epoch uint64, fence bool) error {
-	t.mu.RLock()
-	clients := t.clients
-	t.mu.RUnlock()
 	var first error
-	for _, c := range clients {
+	for _, c := range t.clients {
 		if err := c.SetEpoch(ctx, file, epoch, fence); err != nil && first == nil {
 			first = fmt.Errorf("rpc: set epoch on %s: %w", c.Addr(), err)
 		}
@@ -207,11 +160,8 @@ func (t *Transport) SetEpoch(ctx context.Context, file string, epoch uint64, fen
 // their backing media. Daemons not hosting the store answer OK, so
 // the sweep is idempotent across the fan-out and across retries.
 func (t *Transport) RemoveStore(ctx context.Context, file string) error {
-	t.mu.RLock()
-	clients := t.clients
-	t.mu.RUnlock()
 	var first error
-	for _, c := range clients {
+	for _, c := range t.clients {
 		if err := c.RemoveStore(ctx, file); err != nil && first == nil {
 			first = fmt.Errorf("rpc: remove store on %s: %w", c.Addr(), err)
 		}
@@ -219,18 +169,15 @@ func (t *Transport) RemoveStore(ctx context.Context, file string) error {
 	return first
 }
 
-// Close closes every daemon client.
+// Close closes the daemon clients of a NewTransport; a view built by
+// NewTransportOver has nothing of its own to release.
 func (t *Transport) Close() error {
-	t.mu.RLock()
-	clients := t.clients
-	t.mu.RUnlock()
-	var first error
-	for _, c := range clients {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
+	if t.owned {
+		for _, c := range t.clients {
+			c.Close()
 		}
 	}
-	return first
+	return nil
 }
 
 // fileRef counts the open handles of one (daemon, file) pair so the
