@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"parafile/internal/clusterfile"
@@ -19,9 +20,11 @@ import (
 
 // spyTransport decorates a Transport: it counts every handle call by
 // method, and per (store name, subfile, method), and can fail chosen
-// calls. The event kernel is single-threaded, so no locking.
+// calls. A collective issues its calls concurrently, so note locks;
+// the tests read calls after RunAll, once every call has returned.
 type spyTransport struct {
 	inner clusterfile.Transport
+	mu    sync.Mutex
 	calls map[string]int // by method, and by "name/subfile/method"
 	// fail, when non-nil, is consulted before every data call; a
 	// non-nil error is returned instead of performing it.
@@ -64,10 +67,13 @@ type spyHandle struct {
 }
 
 func (h *spyHandle) note(method string) error {
+	h.t.mu.Lock()
 	h.t.calls[method]++
 	h.t.calls[fmt.Sprintf("%s/%d/%s", h.name, h.sub, method)]++
-	if h.t.fail != nil {
-		return h.t.fail(h.name, h.sub, method)
+	fail := h.t.fail
+	h.t.mu.Unlock()
+	if fail != nil {
+		return fail(h.name, h.sub, method)
 	}
 	return nil
 }
@@ -110,6 +116,7 @@ func (h *spyHandle) Gather(ctx context.Context, p *redist.Projection, lo, hi int
 // countingStores is a StorageFactory over in-memory stores that counts
 // the byte-moving calls each store receives, keyed "name/subfile".
 type countingStores struct {
+	mu            sync.Mutex
 	writes, reads map[string]int
 }
 
@@ -132,12 +139,16 @@ type countingStorage struct {
 }
 
 func (s *countingStorage) WriteAt(p []byte, off int64) error {
+	s.cs.mu.Lock()
 	s.cs.writes[s.key]++
+	s.cs.mu.Unlock()
 	return s.Storage.WriteAt(p, off)
 }
 
 func (s *countingStorage) ReadAt(p []byte, off int64) error {
+	s.cs.mu.Lock()
 	s.cs.reads[s.key]++
+	s.cs.mu.Unlock()
 	return s.Storage.ReadAt(p, off)
 }
 

@@ -2,6 +2,7 @@ package clusterfile
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"parafile/internal/part"
@@ -12,33 +13,47 @@ import (
 // or hanging the event kernel.
 
 // faultyStorage wraps memStorage and fails operations once shared
-// fuses burn down (counters shared across all subfiles of the file).
+// fuses burn down (counters shared across all subfiles of the file,
+// under one lock: the subfiles are written concurrently).
 type faultyStorage struct {
 	memStorage
-	writesLeft *int
-	readsLeft  *int
+	fuses *fuses
+}
+
+type fuses struct {
+	mu                    sync.Mutex
+	writesLeft, readsLeft int
+}
+
+// burn takes one unit of a fuse, reporting false once it is spent.
+func (f *fuses) burn(left *int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if *left <= 0 {
+		return false
+	}
+	*left--
+	return true
 }
 
 func (s *faultyStorage) WriteAt(p []byte, off int64) error {
-	if *s.writesLeft <= 0 {
+	if !s.fuses.burn(&s.fuses.writesLeft) {
 		return fmt.Errorf("injected write fault")
 	}
-	*s.writesLeft--
 	return s.memStorage.WriteAt(p, off)
 }
 
 func (s *faultyStorage) ReadAt(p []byte, off int64) error {
-	if *s.readsLeft <= 0 {
+	if !s.fuses.burn(&s.fuses.readsLeft) {
 		return fmt.Errorf("injected read fault")
 	}
-	*s.readsLeft--
 	return s.memStorage.ReadAt(p, off)
 }
 
 func faultyFactory(writes, reads int) StorageFactory {
-	w, r := writes, reads
+	f := &fuses{writesLeft: writes, readsLeft: reads}
 	return func(string, int) (Storage, error) {
-		return &faultyStorage{writesLeft: &w, readsLeft: &r}, nil
+		return &faultyStorage{fuses: f}, nil
 	}
 }
 

@@ -19,6 +19,14 @@ import (
 // copying come from the cost models, composed on the cluster's
 // discrete-event kernel.
 //
+// The storage calls overlap, as the paper's I/O nodes serve one
+// request in parallel: an operation issues every call of its fan-out
+// on its own goroutine when it starts (storeCall), and the kernel
+// callback that used to perform a call now only waits for its result.
+// The callbacks still run in virtual-time order, so outcomes, quorum
+// groups, statistics and virtual time are accounted exactly as if the
+// calls had run one after another.
+//
 // Every operation runs under an operation context derived from the
 // caller's (StartWriteCtx/StartReadCtx) plus the cluster's OpTimeout.
 // The context reaches every SubfileHandle call, so a remote transport
@@ -72,9 +80,40 @@ type WriteStats struct {
 	PerIONodeScatterNs map[int]int64
 }
 
+// storeCall is one storage call running on its own goroutine. Only the
+// goroutine writes err and real, before closing done; the kernel
+// callback that accounts for the call reads them after wait.
+type storeCall struct {
+	done chan struct{}
+	err  error
+	real time.Duration // wall time of the call
+}
+
+// issue starts a storage call under the operation context: a context
+// that is already done fails the call without running it.
+func issue(ctx context.Context, fn func() error) *storeCall {
+	sc := &storeCall{done: make(chan struct{})}
+	go func() {
+		defer close(sc.done)
+		if sc.err = ctx.Err(); sc.err != nil {
+			return
+		}
+		ts := time.Now()
+		sc.err = fn()
+		sc.real = time.Since(ts)
+	}()
+	return sc
+}
+
+// wait blocks until the call has returned and yields its error.
+func (sc *storeCall) wait() error {
+	<-sc.done
+	return sc.err
+}
+
 // collective is the in-flight state every collective operation (write,
-// read, redistribute) carries. The event kernel is single-threaded, so
-// plain fields suffice.
+// read, redistribute) carries. Only kernel callbacks touch it, and the
+// event kernel is single-threaded, so plain fields suffice.
 type collective struct {
 	// Err, once the operation is done, is nil or a *PartialError with the
 	// per-I/O-node outcomes (for a redistribution the destination nodes
@@ -152,8 +191,9 @@ type WriteOp struct {
 }
 
 // sharedBuf refcounts one pooled gather buffer fanned out to R replica
-// deliveries: the last delivery returns it to the pool. The event
-// kernel is single-threaded, so a plain counter suffices.
+// deliveries: the last delivery returns it to the pool. Deliveries
+// release it from kernel callbacks, after their storage call returned,
+// so a plain counter suffices.
 type sharedBuf struct {
 	buf  []byte
 	refs int
@@ -332,15 +372,26 @@ func (v *View) StartWriteCtx(ctx context.Context, mode WriteMode, lowV, highV in
 		if p.pooled {
 			sb = &sharedBuf{buf: data, refs: R}
 		}
-		lowS, highS, extents, contiguous := p.lowS, p.highS, p.extents, p.contiguous
+		lowS, highS, extents := p.lowS, p.highS, p.extents
+		// Line 4 (server): contiguous on both sides — plain write;
+		// otherwise line 6 (server): scatter buf into the subfile.
+		plain := p.contiguous && sub.projS.IsContiguous(lowS, highS)
 		for r := 0; r < R; r++ {
 			replica := r
+			var call *storeCall
 			deliver := func() {
-				c.serverWrite(op, v, sub, mode, replica, lowS, highS, extents, contiguous, sb, data, lowV, highV)
+				c.serverWrite(op, v, sub, mode, replica, lowS, highS, extents, sb, call, int64(len(data)))
 			}
 			if err := c.Net.SendAt(cnTime, v.node, c.ioNet(v.file.Placement[r][sub.subfile]), int64(len(data)), deliver); err != nil {
 				return nil, c.abortStart(cancel, osp, err)
 			}
+			store := v.file.handle(r, sub.subfile)
+			call = issue(octx, func() error {
+				if plain {
+					return store.WriteAt(octx, data, lowS)
+				}
+				return store.Scatter(octx, sub.projS, lowS, highS, data)
+			})
 			op.pending++
 			op.Stats.Messages++
 			op.Stats.BytesSent += int64(len(data))
@@ -352,50 +403,36 @@ func (v *View) StartWriteCtx(ctx context.Context, mode WriteMode, lowV, highV in
 }
 
 // serverWrite is the I/O server side of §8.1 for one replica: receive
-// the data and either write it contiguously or scatter it into the
-// replica's subfile store, then acknowledge. A cancelled operation
-// context turns the delivery into a cancelled outcome before touching
-// storage; a hard storage error marks the replica's node failed and
-// lets the subfile's quorum group decide the operation's fate.
+// the data, which the replica's storage call issued at the start of the
+// operation writes contiguously or scatters into the subfile store, and
+// acknowledge. A call that met a cancelled operation context is a
+// cancelled outcome; a hard storage error marks the replica's node
+// failed and lets the subfile's quorum group decide the operation's
+// fate. A call whose bytes already landed is ok, even if a sibling's
+// failure cancelled the operation meanwhile.
 func (c *Cluster) serverWrite(op *WriteOp, v *View, sub *subView, mode WriteMode,
-	replica int, lowS, highS, extents int64, contiguous bool, sb *sharedBuf, data []byte, lowV, highV int64) {
+	replica int, lowS, highS, extents int64, sb *sharedBuf, call *storeCall, bytes int64) {
 
+	err := call.wait()
 	// The store copies on WriteAt, so the pooled message buffer shared
 	// across the replica fan-out is free for reuse once the last
-	// delivery's scatter returns. The contiguous path carries the
-	// caller's buffer (sb == nil).
-	defer sb.release(c)
+	// delivery's call returned. The contiguous path carries the caller's
+	// buffer (sb == nil).
+	sb.release(c)
 	f := v.file
 	ioNode := f.Placement[replica][sub.subfile]
-	if err := op.ctx.Err(); err != nil {
-		op.outcomes.cancel(ioNode, err)
-		op.completeOne(c)
+	if err != nil {
+		op.nodeFailed(c, ioNode, err)
 		return
 	}
-	store := f.handle(replica, sub.subfile)
-	ts := time.Now()
-	if contiguous && sub.projS.IsContiguous(lowS, highS) {
-		// Line 4 (server): contiguous on both sides — plain write.
-		if err := store.WriteAt(op.ctx, data, lowS); err != nil {
-			op.nodeFailed(c, ioNode, err)
-			return
-		}
-	} else {
-		// Line 6 (server): scatter buf into the subfile.
-		if err := store.Scatter(op.ctx, sub.projS, lowS, highS, data); err != nil {
-			op.nodeFailed(c, ioNode, err)
-			return
-		}
-	}
-	real := time.Since(ts)
-	op.Stats.RealScatter += real
-	op.outcomes.ok(ioNode, int64(len(data)))
+	op.Stats.RealScatter += call.real
+	op.outcomes.ok(ioNode, bytes)
 	op.outcomes.groupOK(groupKey(sub.subfile))
-	c.met.scatterBytes.Add(int64(len(data)))
-	c.met.scatterNs.Observe(real.Nanoseconds())
-	c.met.ioBytes(ioNode).Add(int64(len(data)))
+	c.met.scatterBytes.Add(bytes)
+	c.met.scatterNs.Observe(call.real.Nanoseconds())
+	c.met.ioBytes(ioNode).Add(bytes)
 	c.tracer.Recordf(c.K.Now(), fmt.Sprintf("ion%d", ioNode),
-		"scatter %d B into subfile %d [%d,%d] (%s)", len(data), sub.subfile, lowS, highS, mode)
+		"scatter %d B into subfile %d [%d,%d] (%s)", bytes, sub.subfile, lowS, highS, mode)
 
 	// The storage model charges the scatter as the buffer-cache write
 	// (the paper's implementation copies once even in the contiguous
@@ -404,7 +441,6 @@ func (c *Cluster) serverWrite(op *WriteOp, v *View, sub *subView, mode WriteMode
 	// was single-threaded, so the next incoming message waits for the
 	// previous write to finish.
 	disk := c.Disks[ioNode]
-	bytes := int64(len(data))
 	cost := disk.CacheCost(bytes, extents)
 	if mode == ToDisk {
 		cost += disk.DiskCost(bytes, extents)
@@ -412,7 +448,7 @@ func (c *Cluster) serverWrite(op *WriteOp, v *View, sub *subView, mode WriteMode
 	disk.Account(bytes, mode == ToDisk)
 	op.Stats.ScatterModelNs += cost
 	op.Stats.PerIONodeScatterNs[ioNode] += cost
-	err := c.Net.ReceiverBusy(c.ioNet(ioNode), cost, func() {
+	err = c.Net.ReceiverBusy(c.ioNet(ioNode), cost, func() {
 		// Acknowledge back to the compute node.
 		c.Net.Send(c.ioNet(ioNode), v.node, ackMsgBytes, func() {
 			op.completeOne(c)
@@ -501,12 +537,14 @@ func (v *View) StartReadCtx(ctx context.Context, lowV, highV int64, buf []byte) 
 		op.pending++
 		lowS2, highS2 := lowS, highS
 		// Request to the I/O server.
+		var g *gatherCall
 		err = c.Net.Send(v.node, netDst, extremityMsgBytes, func() {
-			c.serverRead(op, v, sub, 0, lowS2, highS2, buf, lowV, highV)
+			c.serverRead(op, v, sub, 0, lowS2, highS2, g, buf, lowV, highV)
 		})
 		if err != nil {
 			return nil, c.abortStart(cancel, osp, err)
 		}
+		g = c.issueGather(op, v.file, sub, 0, lowS, highS)
 		op.Stats.Messages++
 		c.met.recordNet(extremityMsgBytes)
 	}
@@ -517,21 +555,40 @@ func (v *View) StartReadCtx(ctx context.Context, lowV, highV int64, buf []byte) 
 	return op, nil
 }
 
-// serverRead gathers the requested subfile bytes from one replica and
-// ships them back; the compute node scatters them into the user buffer
-// on arrival. A hard storage error against the replica fails over: the
-// compute node re-sends the extremity request to the next replica in
-// the placement group, so a dead node costs a failover round-trip
-// instead of the read. Context cancellation never fails over.
+// gatherCall is one replica's Gather in flight, with the pooled
+// message buffer it packs into.
+type gatherCall struct {
+	*storeCall
+	data []byte
+}
+
+// issueGather starts the Gather of a subfile window from one replica.
+func (c *Cluster) issueGather(op *ReadOp, f *File, sub *subView, replica int, lowS, highS int64) *gatherCall {
+	data := c.getMsgBuf(sub.projS.BytesIn(lowS, highS))
+	h := f.handle(replica, sub.subfile)
+	return &gatherCall{data: data, storeCall: issue(op.ctx, func() error {
+		return h.Gather(op.ctx, sub.projS, lowS, highS, data)
+	})}
+}
+
+// serverRead ships one replica's gathered subfile bytes back; the
+// compute node scatters them into the user buffer on arrival. A hard
+// storage error against the replica fails over: the compute node
+// re-sends the extremity request to the next replica in the placement
+// group, whose Gather is issued only then, so a dead node costs a
+// failover round-trip instead of the read. Context cancellation never
+// fails over.
 func (c *Cluster) serverRead(op *ReadOp, v *View, sub *subView, replica int,
-	lowS, highS int64, buf []byte, lowV, highV int64) {
+	lowS, highS int64, g *gatherCall, buf []byte, lowV, highV int64) {
 
 	f := v.file
 	ioNode := f.Placement[replica][sub.subfile]
+	data := g.data
 	// fail retires this replica's attempt: mark the node, and either
 	// re-issue the request against the next replica or — with the
 	// placement group exhausted — fail the delivery for real.
 	fail := func(err error) {
+		c.putMsgBuf(data)
 		if !isCtxErr(err) && replica+1 < f.Replication {
 			// A saturated replica is shed, not failed — either way the
 			// read fails over to the next replica in the group.
@@ -544,34 +601,27 @@ func (c *Cluster) serverRead(op *ReadOp, v *View, sub *subView, replica int,
 			next := f.Placement[replica+1][sub.subfile]
 			op.Stats.Messages++
 			c.met.recordNet(extremityMsgBytes)
+			var ng *gatherCall
 			if e := c.Net.Send(v.node, c.ioNet(next), extremityMsgBytes, func() {
-				c.serverRead(op, v, sub, replica+1, lowS, highS, buf, lowV, highV)
+				c.serverRead(op, v, sub, replica+1, lowS, highS, ng, buf, lowV, highV)
 			}); e == nil {
+				ng = c.issueGather(op, f, sub, replica+1, lowS, highS)
 				return
 			}
 		}
 		op.nodeFailed(c, ioNode, err)
 	}
 
-	if err := op.ctx.Err(); err != nil {
-		op.outcomes.cancel(ioNode, err)
-		op.completeOne(c)
-		return
-	}
-	n := sub.projS.BytesIn(lowS, highS)
-	segs := sub.projS.SegmentsIn(lowS, highS)
-	data := c.getMsgBuf(n)
-	tg := time.Now()
-	if err := f.handle(replica, sub.subfile).Gather(op.ctx, sub.projS, lowS, highS, data); err != nil {
-		c.putMsgBuf(data)
+	if err := g.wait(); err != nil {
 		fail(err)
 		return
 	}
+	n := int64(len(data))
 	c.met.gatherBytes.Add(n)
-	c.met.gatherNs.Observe(time.Since(tg).Nanoseconds())
+	c.met.gatherNs.Observe(g.real.Nanoseconds())
 	c.met.ioBytes(ioNode).Add(n)
 	// The server's gather is CPU work before the send.
-	c.K.After(c.copyModelNs(n, segs), func() {
+	c.K.After(c.copyModelNs(n, sub.projS.SegmentsIn(lowS, highS)), func() {
 		c.met.recordNet(n)
 		err := c.Net.Send(c.ioNet(ioNode), v.node, n, func() {
 			// The scatter copies into the user buffer, after which the
@@ -599,7 +649,6 @@ func (c *Cluster) serverRead(op *ReadOp, v *View, sub *subView, replica int,
 			op.completeOne(c)
 		})
 		if err != nil {
-			c.putMsgBuf(data)
 			fail(err)
 		}
 	})

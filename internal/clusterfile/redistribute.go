@@ -26,6 +26,12 @@ import (
 // The virtual-time cost model stays per transfer, as if each had been
 // gathered, sent and scattered on its own.
 //
+// Every source window is read concurrently from the start, and every
+// commit WriteAt is issued at once at the commit point; kernel
+// callbacks apply the windows and settle the commits in plan order.
+// Peak memory is therefore at most the source windows plus the
+// destination images: two times the redistributed length.
+//
 // Redistribution is all-or-nothing: the destination images ARE the
 // staging, written into the new subfiles only once every source window
 // was read and every transfer has landed. Any failure or cancellation
@@ -83,6 +89,9 @@ type RedistOp struct {
 // aborted).
 func (op *RedistOp) Done() bool { return op.sealed }
 
+// doomed reports whether the operation can no longer commit.
+func (op *RedistOp) doomed() bool { return op.aborted || op.ctx.Err() != nil }
+
 // nodeFailed records an error against one I/O node and dooms the
 // operation: the commit point will discard the staging.
 func (op *RedistOp) nodeFailed(ioNode int, err error) {
@@ -105,7 +114,7 @@ func (op *RedistOp) arrived(c *Cluster) {
 // failovers the replication layer already absorbed.
 func (op *RedistOp) settle(c *Cluster) {
 	nf := op.nf
-	doomed := op.aborted || op.ctx.Err() != nil
+	doomed := op.doomed()
 	op.pending = 0
 	for d := range op.wins {
 		w := &op.wins[d]
@@ -122,9 +131,21 @@ func (op *RedistOp) settle(c *Cluster) {
 		op.seal(c)
 		return
 	}
+	// Issue every replica write of every window at once, then settle
+	// them window by window.
+	calls := make([][]*storeCall, len(op.wins))
 	for d := range op.wins {
-		if op.wins[d].img != nil {
-			op.commitWindow(c, d)
+		if img := op.wins[d].img; img != nil {
+			calls[d] = make([]*storeCall, nf.Replication)
+			for r := range calls[d] {
+				h := nf.handle(r, d)
+				calls[d][r] = issue(op.ctx, func() error { return h.WriteAt(op.ctx, img, 0) })
+			}
+		}
+	}
+	for d := range op.wins {
+		if calls[d] != nil {
+			op.commitWindow(c, d, calls[d])
 		}
 	}
 }
@@ -141,27 +162,21 @@ func (op *RedistOp) replicaCommitFailed(c *Cluster, ioNode int, err error) {
 	op.commitDone(c)
 }
 
-// commitWindow writes one destination image into every replica
-// placement of its subfile — one contiguous WriteAt each; the image is
-// shared across the replica writes (the store copies) and returns to
-// the pool afterwards — and settles the window's transfers against
-// each write: outcome, quorum credit and the destination's storage
-// cost, per transfer.
-func (op *RedistOp) commitWindow(c *Cluster, d int) {
+// commitWindow settles one destination image's replica writes — one
+// contiguous WriteAt into every replica placement of its subfile, the
+// image shared across them (the store copies) and returned to the pool
+// once all have returned — against the window's transfers: outcome,
+// quorum credit and the destination's storage cost, per transfer.
+func (op *RedistOp) commitWindow(c *Cluster, d int, calls []*storeCall) {
 	w := op.wins[d]
 	op.wins[d] = dstWindow{}
 	defer c.putMsgBuf(w.img)
 	nf := op.nf
-	for r := 0; r < nf.Replication; r++ {
+	for r, call := range calls {
 		dstION := nf.Placement[r][d]
-		err := op.ctx.Err()
-		if err == nil {
-			ts := time.Now()
-			err = nf.handle(r, d).WriteAt(op.ctx, w.img, 0)
-			realScatter := time.Since(ts)
-			op.Stats.ScatterReal += realScatter
-			c.met.scatterNs.Observe(realScatter.Nanoseconds())
-		}
+		err := call.wait()
+		op.Stats.ScatterReal += call.real
+		c.met.scatterNs.Observe(call.real.Nanoseconds())
 		for _, s := range w.xfers {
 			if err != nil {
 				op.replicaCommitFailed(c, dstION, err)
@@ -277,13 +292,23 @@ func (c *Cluster) startRedistribute(ctx context.Context, f *File, newPhys *part.
 		dstLen[t.DstElem] = max(dstLen[t.DstElem], dstHi+1)
 	}
 	// The plan lists transfers in (source, destination) order, so each
-	// source subfile's transfers are one run.
-	for lo := 0; lo < len(xfers) && !op.aborted; {
+	// source subfile's transfers are one run. Every run's window read
+	// starts now; a callback at the current virtual time applies each
+	// run in plan order once its read has returned.
+	for lo := 0; lo < len(xfers); {
 		hi := lo + 1
 		for hi < len(xfers) && xfers[hi].t.SrcElem == xfers[lo].t.SrcElem {
 			hi++
 		}
-		op.moveSource(c, f, plan, xfers[lo:hi], srcLen[xfers[lo].t.SrcElem], dstLen, length)
+		run := xfers[lo:hi]
+		src := c.getMsgBuf(srcLen[run[0].t.SrcElem])
+		h := f.handle(0, run[0].t.SrcElem)
+		call := issue(octx, func() error { return h.ReadAt(octx, src, 0) })
+		op.pending++
+		c.K.After(0, func() {
+			op.moveSource(c, f, plan, run, src, call, dstLen, length)
+			op.arrived(c)
+		})
 		lo = hi
 	}
 	if op.pending == 0 {
@@ -302,33 +327,30 @@ type windowXfer struct {
 }
 
 // moveSource moves one source subfile's transfers into the destination
-// images: one contiguous read of the source window (real I/O; unwritten
-// holes read as zeroes, like any sparse file), then the plan's copy
-// runs in memory. A hard read error fails over to the next source
-// replica; only an exhausted placement group — or a context error, which
-// never fails over — aborts the redistribution.
-// The source image is released before returning, so at most one is
-// alive at a time. Each transfer is then sent on its own in virtual
-// time: gather cost at the source, the interconnect, staging on
-// arrival.
-func (op *RedistOp) moveSource(c *Cluster, f *File, plan *redist.Plan, xfers []windowXfer, srcLen int64, dstLen []int64, length int64) {
+// images once its window read has returned (real I/O; unwritten holes
+// read as zeroes, like any sparse file): the plan's copy runs, in
+// memory. A hard read error fails over to the next source replica,
+// read inside this callback; only an exhausted placement group — or a
+// context error, which never fails over — aborts the redistribution.
+// The source image is released before returning. Each transfer is then
+// sent on its own in virtual time: gather cost at the source, the
+// interconnect, staging on arrival.
+func (op *RedistOp) moveSource(c *Cluster, f *File, plan *redist.Plan, xfers []windowXfer, src []byte, call *storeCall, dstLen []int64, length int64) {
 	srcElem := xfers[0].t.SrcElem
-	src := c.getMsgBuf(srcLen)
+	srcION := f.Placement[0][srcElem]
+	err := call.wait()
 	tg := time.Now()
-	var srcION int
-	var err error
-	for r := 0; ; r++ {
-		srcION = f.Placement[r][srcElem]
-		err = f.handle(r, srcElem).ReadAt(op.ctx, src, 0)
-		if err == nil || isCtxErr(err) || r+1 >= f.Replication {
-			break
-		}
+	for r := 1; err != nil && !isCtxErr(err) && !op.doomed() && r < f.Replication; r++ {
 		// Tolerated source failure: record it (it surfaces in the
 		// Degraded report) without dooming the operation.
 		op.outcomes.fail(srcION, err)
 		c.met.failovers.Inc()
+		srcION = f.Placement[r][srcElem]
+		err = f.handle(r, srcElem).ReadAt(op.ctx, src, 0)
 	}
-	for i := 0; i < len(xfers) && err == nil; i++ {
+	// A doomed operation's images are never committed: skip the copies.
+	// Its transfers still go out and report cancelled on arrival.
+	for i := 0; i < len(xfers) && err == nil && !op.doomed(); i++ {
 		w := &op.wins[xfers[i].t.DstElem]
 		if w.img == nil {
 			// Pooled capacity arrives dirty; the image must read as a
@@ -343,7 +365,7 @@ func (op *RedistOp) moveSource(c *Cluster, f *File, plan *redist.Plan, xfers []w
 		op.nodeFailed(srcION, err)
 		return
 	}
-	realGather := time.Since(tg)
+	realGather := call.real + time.Since(tg)
 	op.Stats.GatherReal += realGather
 	c.met.gatherNs.Observe(realGather.Nanoseconds())
 	for _, x := range xfers {
@@ -365,7 +387,7 @@ func (op *RedistOp) moveSource(c *Cluster, f *File, plan *redist.Plan, xfers []w
 		c.K.After(c.copyModelNs(x.bytes, x.t.SrcProj.SegmentsIn(0, x.srcHi)), func() {
 			// A doomed operation skips the transfer: its payload could
 			// never commit.
-			if op.aborted || op.ctx.Err() != nil {
+			if op.doomed() {
 				op.outcomes.cancel(dstION, ErrRedistAborted)
 				op.arrived(c)
 				return

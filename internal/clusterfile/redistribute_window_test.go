@@ -430,9 +430,9 @@ func TestRedistributeToleratesSourceReplicaFailure(t *testing.T) {
 }
 
 // TestRedistributeCancelled: cancellation before the commit point —
-// between two source-window reads, or after the last one while the
-// transfers are still in flight — aborts like a failure does: nothing
-// written, every node cancelled, every image returned.
+// while the source windows are being read, or once the op has started
+// and its transfers are in flight — aborts like a failure does:
+// nothing written, every node cancelled, every image returned.
 func TestRedistributeCancelled(t *testing.T) {
 	for _, when := range []string{"mid-read", "in-flight"} {
 		c, f, spy, reg, rows, img := abortSetup(t, 2)
@@ -441,7 +441,7 @@ func TestRedistributeCancelled(t *testing.T) {
 		if when == "mid-read" {
 			spy.fail = func(name string, sub int, method string) error {
 				if method == "ReadAt" && sub == 1 {
-					cancel() // source 0 was read; this read sees the cancellation
+					cancel() // this read sees the cancellation
 				}
 				return nil
 			}

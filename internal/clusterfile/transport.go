@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"parafile/internal/falls"
 	"parafile/internal/part"
@@ -126,51 +127,75 @@ func (t *localTransport) Close() error { return nil }
 
 // localHandle adapts a Storage to the SubfileHandle interface. Local
 // stores cannot block, so observing ctx before each operation is the
-// whole cancellation story; EnsureLen does that and the grow every data
-// op starts with.
+// whole cancellation story; ensureLen does that and the grow every data
+// op starts with. The ranks of a collective write disjoint parts of one
+// subfile concurrently, so each operation holds the handle's lock, as
+// the daemon holds its file's.
 type localHandle struct {
+	mu sync.Mutex
 	st Storage
 }
 
-func (h *localHandle) EnsureLen(ctx context.Context, n int64) error {
+// ensureLen is EnsureLen with the lock held.
+func (h *localHandle) ensureLen(ctx context.Context, n int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	return h.st.EnsureLen(n)
 }
 
+func (h *localHandle) EnsureLen(ctx context.Context, n int64) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.ensureLen(ctx, n)
+}
+
 func (h *localHandle) Len(ctx context.Context) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.st.Len(), nil
 }
 
 func (h *localHandle) WriteAt(ctx context.Context, p []byte, off int64) error {
-	if err := h.EnsureLen(ctx, off+int64(len(p))); err != nil {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := h.ensureLen(ctx, off+int64(len(p))); err != nil {
 		return err
 	}
 	return h.st.WriteAt(p, off)
 }
 
 func (h *localHandle) ReadAt(ctx context.Context, p []byte, off int64) error {
-	if err := h.EnsureLen(ctx, off+int64(len(p))); err != nil {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := h.ensureLen(ctx, off+int64(len(p))); err != nil {
 		return err
 	}
 	return h.st.ReadAt(p, off)
 }
 
-func (h *localHandle) Close() error { return h.st.Close() }
+func (h *localHandle) Close() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.st.Close()
+}
 
 func (h *localHandle) Scatter(ctx context.Context, p *redist.Projection, lo, hi int64, data []byte) error {
-	if err := h.EnsureLen(ctx, hi+1); err != nil {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := h.ensureLen(ctx, hi+1); err != nil {
 		return err
 	}
 	return ScatterRange(h.st, data, p, lo, hi)
 }
 
 func (h *localHandle) Gather(ctx context.Context, p *redist.Projection, lo, hi int64, dst []byte) error {
-	if err := h.EnsureLen(ctx, hi+1); err != nil {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := h.ensureLen(ctx, hi+1); err != nil {
 		return err
 	}
 	return GatherRange(dst, h.st, p, lo, hi)
@@ -180,6 +205,8 @@ func (h *localHandle) Checksum(ctx context.Context, off, n int64) (uint32, error
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return ChecksumRange(h.st, off, n)
 }
 

@@ -99,23 +99,30 @@ func (t *Transport) Open(ctx context.Context, name string, phys *part.File, assi
 // fenced). Epoch zero leaves the operations unstamped: no check.
 func (t *Transport) OpenEpoch(ctx context.Context, name string, phys *part.File, assign []int, epoch uint64) ([]clusterfile.SubfileHandle, error) {
 	physEnc := codec.EncodeFile(phys)
-	// Group the subfiles by daemon, preserving client order so the
-	// CreateFile fan-out is deterministic.
+	// Group the subfiles by daemon. The CreateFile calls run
+	// concurrently; their outcomes are settled in client order, so the
+	// error an Open returns is deterministic.
 	clients := t.clients
 	perClient := make(map[*Client][]int)
 	for sub, node := range assign {
 		c := clients[node%len(clients)]
 		perClient[c] = append(perClient[c], sub)
 	}
+	errs := fanOut(clients, func(c *Client) error {
+		subs := perClient[c]
+		if len(subs) == 0 {
+			return nil
+		}
+		return c.CreateFile(ctx, &CreateFileReq{Name: name, Phys: physEnc, Subfiles: subs, Reopen: t.reopen, Epoch: epoch})
+	})
 	refs := make(map[*Client]*fileRef)
 	broken := make(map[*Client]error)
-	for _, c := range clients {
+	for i, c := range clients {
 		subs := perClient[c]
 		if len(subs) == 0 {
 			continue
 		}
-		err := c.CreateFile(ctx, &CreateFileReq{Name: name, Phys: physEnc, Subfiles: subs, Reopen: t.reopen, Epoch: epoch})
-		if err != nil {
+		if err := errs[i]; err != nil {
 			if t.degraded {
 				// Remember the failure; the daemon's subfiles get
 				// handles that surface it on every operation, so the
@@ -142,31 +149,47 @@ func (t *Transport) OpenEpoch(ctx context.Context, name string, phys *part.File,
 	return handles, nil
 }
 
-// SetEpoch fans the placement-epoch flip out to every daemon: each
-// ratchets the file's stores to the epoch and raises or clears the
-// write fence. Daemons holding no store of the file answer OK.
-func (t *Transport) SetEpoch(ctx context.Context, file string, epoch uint64, fence bool) error {
-	var first error
-	for _, c := range t.clients {
-		if err := c.SetEpoch(ctx, file, epoch, fence); err != nil && first == nil {
-			first = fmt.Errorf("rpc: set epoch on %s: %w", c.Addr(), err)
-		}
+// fanOut runs call against every client concurrently and returns the
+// errors in client order.
+func fanOut(clients []*Client, call func(*Client) error) []error {
+	errs := make([]error, len(clients))
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = call(c)
+		}()
 	}
-	return first
+	wg.Wait()
+	return errs
 }
 
-// RemoveStore fans a store-generation sweep out to every daemon: each
-// closes the file's stores (replica stores included) and deletes
-// their backing media. Daemons not hosting the store answer OK, so
-// the sweep is idempotent across the fan-out and across retries.
-func (t *Transport) RemoveStore(ctx context.Context, file string) error {
-	var first error
-	for _, c := range t.clients {
-		if err := c.RemoveStore(ctx, file); err != nil && first == nil {
-			first = fmt.Errorf("rpc: remove store on %s: %w", c.Addr(), err)
+// firstErr fans call out to every client and returns the first failure
+// in client order, naming its daemon, or nil.
+func (t *Transport) firstErr(what string, call func(*Client) error) error {
+	for i, err := range fanOut(t.clients, call) {
+		if err != nil {
+			return fmt.Errorf("rpc: %s on %s: %w", what, t.clients[i].Addr(), err)
 		}
 	}
-	return first
+	return nil
+}
+
+// SetEpoch fans the placement-epoch flip out to every daemon
+// concurrently: each ratchets the file's stores to the epoch and raises
+// or clears the write fence. Daemons holding no store of the file
+// answer OK.
+func (t *Transport) SetEpoch(ctx context.Context, file string, epoch uint64, fence bool) error {
+	return t.firstErr("set epoch", func(c *Client) error { return c.SetEpoch(ctx, file, epoch, fence) })
+}
+
+// RemoveStore fans a store-generation sweep out to every daemon
+// concurrently: each closes the file's stores (replica stores included)
+// and deletes their backing media. Daemons not hosting the store answer
+// OK, so the sweep is idempotent across the fan-out and across retries.
+func (t *Transport) RemoveStore(ctx context.Context, file string) error {
+	return t.firstErr("remove store", func(c *Client) error { return c.RemoveStore(ctx, file) })
 }
 
 // Close closes the daemon clients of a NewTransport; a view built by
