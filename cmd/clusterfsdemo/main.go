@@ -56,7 +56,7 @@ func main() {
 	metaVerify := flag.Bool("meta-verify", false, "with -meta: skip the write and only verify the pattern a previous run wrote — proves the bytes survived a rebalance untouched")
 	replication := flag.Int("replication", 1, "materialize every subfile on this many I/O nodes (reads fail over, writes fan out)")
 	writeQuorum := flag.Int("write-quorum", 0, "replica acks a subfile's write needs (0 = all replicas); a smaller quorum keeps writes available while a node is down")
-	chunkKB := flag.Int("chunk-kb", 0, "wire chunk in KiB for -remote: larger transfers stream in chunks (0 = default 1024)")
+	chunkKB := flag.Int("chunk-kb", 0, "wire chunk in KiB for -remote: larger transfers travel as chunk-sized pieces (0 = default 1024)")
 	doRedist := flag.Bool("redist", false, "after the read-back, redistribute the file to a row-block layout and verify it")
 	trace := flag.Bool("trace", false, "print the virtual-time event trace of the write")
 	opTrace := flag.Bool("op-trace", false, "distributed tracing: stitch per-op cross-node span trees (client + daemon spans with -remote) and print them after the run")

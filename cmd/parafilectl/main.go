@@ -346,7 +346,7 @@ func addRemoteFlags(fs *flag.FlagSet) *remoteFlags {
 		nodes:  fs.Int("nodes", 4, "I/O node count of the deployment"),
 		repl:   fs.Int("replication", 1, "replica count the file was created with"),
 		seg:    fs.Int64("seg-bytes", clusterfile.DefaultScrubSegmentBytes, "scrub segment granularity in bytes"),
-		chunk:  fs.Int("chunk-kb", 0, "wire chunk in KiB: larger transfers stream in chunks (0 = default 1024)"),
+		chunk:  fs.Int("chunk-kb", 0, "wire chunk in KiB: larger transfers travel as chunk-sized pieces (0 = default 1024)"),
 	}
 }
 

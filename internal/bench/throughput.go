@@ -20,20 +20,21 @@ import (
 
 // throughput.go measures the data path over loopback TCP: large
 // segment operations as one frame per op (monolithic: a chunk as big as
-// the payload) versus chunked streams, plus the end-to-end
-// redistribution through each transport. The report backs
+// the payload) versus cut into chunk-sized pieces (streamed), plus the
+// end-to-end redistribution through each transport. The report backs
 // the checked-in BENCH record and the -json mode of cmd/redistbench.
 
 // ThroughputOptions configures RunThroughput. The zero value takes
 // the full-size defaults; Short shrinks everything for CI smoke runs.
 type ThroughputOptions struct {
 	// OpBytes is the payload of one wire write/read (default 8 MiB,
-	// short 1 MiB) — deliberately beyond one streamed chunk.
+	// short 1 MiB) — deliberately beyond one chunk.
 	OpBytes int64
 	// Ops is the number of timed operations per phase (default 24,
 	// short 8).
 	Ops int
-	// ChunkSize is the streamed-path wire chunk (default 1 MiB).
+	// ChunkSize is the streamed mode's wire chunk, the size of its
+	// pieces (default 1 MiB).
 	ChunkSize int
 	// N is the matrix side of the redistribution phase (default 8192,
 	// short 512); the redistributed payload is N×N bytes.
@@ -377,8 +378,8 @@ func RunThroughput(opts ThroughputOptions) (*ThroughputReport, error) {
 	}
 
 	// Wire ablation: identical ops over the same connection path, one
-	// frame per op (the chunk holds the whole payload) vs chunked
-	// streams.
+	// frame per op (the chunk holds the whole payload) vs chunk-sized
+	// pieces.
 	mono := rpc.ClientConfig{ChunkSize: int(opts.OpBytes), MaxFrame: 2 * opts.OpBytes}
 	streamed := rpc.ClientConfig{ChunkSize: opts.ChunkSize}
 	for _, m := range []struct {

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"sync"
 	"time"
 
 	"parafile/internal/core"
@@ -424,24 +425,33 @@ func (c *Cluster) createFilePlacement(ctx context.Context, name string, phys *pa
 	}
 	octx, cancel := c.opCtx(ctx)
 	defer cancel()
+	// The replica tiers open concurrently, so an open costs one round of
+	// store-opening calls whatever the replication. A failure reports
+	// the lowest failed tier, after every tier that did open is closed.
 	et, epochAware := c.transport.(EpochTransport)
+	errs := make([]error, repl)
+	var wg sync.WaitGroup
 	for r := 0; r < repl; r++ {
-		var handles []SubfileHandle
-		var err error
-		if epochAware && epoch != 0 {
-			handles, err = et.OpenEpoch(octx, ReplicaName(name, r), phys, f.Placement[r], epoch)
-		} else {
-			handles, err = c.transport.Open(octx, ReplicaName(name, r), phys, f.Placement[r])
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if epochAware && epoch != 0 {
+				f.replicas[r], errs[r] = et.OpenEpoch(octx, ReplicaName(name, r), phys, f.Placement[r], epoch)
+			} else {
+				f.replicas[r], errs[r] = c.transport.Open(octx, ReplicaName(name, r), phys, f.Placement[r])
+			}
+		}()
+	}
+	wg.Wait()
+	for r, err := range errs {
 		if err != nil {
-			for _, tier := range f.replicas[:r] {
+			for _, tier := range f.replicas {
 				for _, h := range tier {
 					h.Close()
 				}
 			}
 			return nil, fmt.Errorf("clusterfile: storage for %q (replica %d): %w", name, r, err)
 		}
-		f.replicas[r] = handles
 	}
 	c.files[name] = f
 	return f, nil

@@ -298,3 +298,100 @@ func TestConcurrentViewsShareSubfiles(t *testing.T) {
 		})
 	}
 }
+
+// openBarrierTransport holds every Open at the barrier, so a file's
+// replica tiers open only if all of them are opening at once.
+type openBarrierTransport struct {
+	clusterfile.Transport
+	b barrier
+	// fail names the stores whose Open fails once past the barrier.
+	fail map[string]bool
+	// closed counts the closes of handles that did open.
+	mu     sync.Mutex
+	closed int
+}
+
+func (t *openBarrierTransport) Open(ctx context.Context, name string, phys *part.File, assign []int) ([]clusterfile.SubfileHandle, error) {
+	if err := t.b.wait("Open"); err != nil {
+		return nil, err
+	}
+	if t.fail[name] {
+		return nil, fmt.Errorf("open %q refused", name)
+	}
+	handles, err := t.Transport.Open(ctx, name, phys, assign)
+	for i, h := range handles {
+		handles[i] = &closeCountingHandle{SubfileHandle: h, t: t}
+	}
+	return handles, err
+}
+
+type closeCountingHandle struct {
+	clusterfile.SubfileHandle
+	t *openBarrierTransport
+}
+
+func (h *closeCountingHandle) Close() error {
+	h.t.mu.Lock()
+	h.t.closed++
+	h.t.mu.Unlock()
+	return h.SubfileHandle.Close()
+}
+
+// TestReplicaTiersOpenConcurrently: creating a file at R=2 and R=3
+// opens all its replica tiers at once (the barrier stalls a tier
+// opened after another until the deadline), through a store factory
+// that keeps an unlocked map, as test factories do. A failed open
+// reports its lowest failed tier and closes every tier that did open.
+func TestReplicaTiersOpenConcurrently(t *testing.T) {
+	cols, err := part.ColBlocks(16, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys := part.MustFile(0, cols)
+	for _, R := range []int{2, 3} {
+		opened := make(map[string]int) // the factory's own, unlocked
+		stores := func(name string, sub int) (clusterfile.Storage, error) {
+			opened[name]++
+			return clusterfile.MemStorageFactory(name, sub)
+		}
+		bt := &openBarrierTransport{Transport: clusterfile.NewLocalTransport(stores)}
+		cfg := clusterfile.DefaultConfig()
+		cfg.Replication = R
+		cfg.Transport = bt
+		c, err := clusterfile.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bt.b.arm(R)
+		f, err := c.CreateFile("m", phys, nil)
+		if left := bt.b.disarm(); len(left) != 0 {
+			t.Fatalf("R=%d: the replica tiers opened one after another (%v)", R, err)
+		}
+		if err != nil {
+			t.Fatalf("R=%d: %v", R, err)
+		}
+		for r := 0; r < R; r++ {
+			if n := opened[clusterfile.ReplicaName("m", r)]; n != 4 {
+				t.Fatalf("R=%d: tier %d opened %d stores, want 4", R, r, n)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Tiers 1 and 2 of a second file fail: the error names tier 1,
+		// and the tiers that did open are closed again.
+		bt.fail = map[string]bool{clusterfile.ReplicaName("n", 1): true, clusterfile.ReplicaName("n", 2): true}
+		bt.closed = 0
+		bt.b.arm(R)
+		_, err = c.CreateFile("n", phys, nil)
+		bt.b.disarm()
+		want := `clusterfile: storage for "n" (replica 1): open "n~r1" refused`
+		if err == nil || err.Error() != want {
+			t.Fatalf("R=%d: failed open: %v, want %q", R, err, want)
+		}
+		if bt.closed != 4 { // tier 0's four subfiles, the only tier that opened
+			t.Fatalf("R=%d: %d handles closed after the failed open, want 4", R, bt.closed)
+		}
+	}
+}

@@ -101,10 +101,15 @@ func NewLocalTransport(factory StorageFactory) Transport {
 }
 
 type localTransport struct {
+	// mu serializes the factory: a file's replica tiers open
+	// concurrently, and a factory need not be safe for that.
+	mu      sync.Mutex
 	factory StorageFactory
 }
 
 func (t *localTransport) Open(ctx context.Context, name string, phys *part.File, assign []int) ([]SubfileHandle, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	handles := make([]SubfileHandle, len(assign))
 	for i := range assign {
 		var st Storage

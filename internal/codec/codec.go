@@ -55,10 +55,10 @@ func ReadVarint(buf []byte) (int64, []byte, error) {
 }
 
 // Unexported aliases keep the package-internal call sites short.
-func appendUvarint(buf []byte, v uint64) []byte        { return AppendUvarint(buf, v) }
-func appendVarint(buf []byte, v int64) []byte          { return AppendVarint(buf, v) }
-func readUvarint(buf []byte) (uint64, []byte, error)   { return ReadUvarint(buf) }
-func readVarint(buf []byte) (int64, []byte, error)     { return ReadVarint(buf) }
+func appendUvarint(buf []byte, v uint64) []byte      { return AppendUvarint(buf, v) }
+func appendVarint(buf []byte, v int64) []byte        { return AppendVarint(buf, v) }
+func readUvarint(buf []byte) (uint64, []byte, error) { return ReadUvarint(buf) }
+func readVarint(buf []byte) (int64, []byte, error)   { return ReadVarint(buf) }
 
 // AppendFALLS appends the encoding of a flat FALLS.
 func AppendFALLS(buf []byte, f falls.FALLS) []byte {

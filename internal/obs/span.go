@@ -80,23 +80,6 @@ func (s *Span) StartChild(name string) *Span {
 	return c
 }
 
-// AddInterval attaches an already-measured child interval — the form
-// used for accumulated costs like stream-window stalls, where the
-// individual waits are too cheap to span but their sum matters.
-// Nil-safe; zero or negative durations record nothing.
-func (s *Span) AddInterval(name string, start time.Time, d time.Duration) {
-	if s == nil || d <= 0 {
-		return
-	}
-	c := &Span{name: name, start: start, end: start.Add(d), ended: true}
-	if s.traceID != 0 {
-		c.traceID, c.spanID, c.parent, c.node = s.traceID, newID(), s.spanID, s.node
-	}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-}
-
 // TraceID returns the span's trace ID (0 when untraced or nil) — the
 // standard "is tracing live here" gate.
 func (s *Span) TraceID() uint64 {

@@ -14,9 +14,9 @@ import (
 // cross-node distributed traces. Every collective operation gets a
 // 64-bit trace ID; every span in the tree a 64-bit span ID plus its
 // parent's ID. Server-side spans are exported as flat SpanRecords,
-// shipped over the wire (piggybacked on replies, or drained with
-// MsgSpans after a streamed transfer), attached to the client span
-// that issued the RPC, and stitched back into one tree by parent ID.
+// shipped over the wire piggybacked on replies, attached to the client
+// span that issued the RPC, and stitched back into one tree by parent
+// ID.
 //
 // Clocks: span IDs tie the tree together, timestamps do not. Each
 // record's Start/End come from the clock of the node that ran the
@@ -411,75 +411,4 @@ func (t *Tracer) FindOp(name string) *TraceTree {
 		}
 	}
 	return nil
-}
-
-// SpanStash holds completed server-side span records keyed by trace
-// ID until the client drains them with a MsgSpans RPC — the return
-// path for streamed operations, whose replies are too latency-
-// sensitive to carry piggybacked records. Bounded: when more than cap
-// distinct traces are pending the oldest trace's records are dropped
-// (a client that never drains must not grow server memory). A nil
-// *SpanStash is the disabled state.
-type SpanStash struct {
-	mu    sync.Mutex
-	m     map[uint64][]SpanRecord
-	order []uint64
-	cap   int
-}
-
-// NewSpanStash returns a stash retaining records for up to capacity
-// distinct trace IDs (minimum 1).
-func NewSpanStash(capacity int) *SpanStash {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpanStash{m: make(map[uint64][]SpanRecord), cap: capacity}
-}
-
-// Put appends records under their trace ID, evicting the oldest
-// pending trace beyond the capacity.
-func (st *SpanStash) Put(traceID uint64, recs []SpanRecord) {
-	if st == nil || traceID == 0 || len(recs) == 0 {
-		return
-	}
-	st.mu.Lock()
-	if _, ok := st.m[traceID]; !ok {
-		st.order = append(st.order, traceID)
-		for len(st.order) > st.cap {
-			delete(st.m, st.order[0])
-			st.order = st.order[1:]
-		}
-	}
-	st.m[traceID] = append(st.m[traceID], recs...)
-	st.mu.Unlock()
-}
-
-// Take removes and returns the records pending for a trace ID.
-func (st *SpanStash) Take(traceID uint64) []SpanRecord {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	recs := st.m[traceID]
-	if recs != nil {
-		delete(st.m, traceID)
-		for i, id := range st.order {
-			if id == traceID {
-				st.order = append(st.order[:i], st.order[i+1:]...)
-				break
-			}
-		}
-	}
-	st.mu.Unlock()
-	return recs
-}
-
-// Pending returns the number of traces with stashed records.
-func (st *SpanStash) Pending() int {
-	if st == nil {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.m)
 }

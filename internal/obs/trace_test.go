@@ -11,7 +11,7 @@ import (
 
 // trace_test.go covers the distributed-trace layer: ID generation,
 // record stitching, per-node shares, the tracer's in-flight map and
-// recent ring, the span stash, and — load-bearing for the wire hot
+// recent ring, and — load-bearing for the wire hot
 // path — that every disabled-state primitive is a zero-allocation
 // no-op.
 
@@ -125,37 +125,6 @@ func TestTracerRingAndLookup(t *testing.T) {
 	}
 }
 
-func TestSpanStash(t *testing.T) {
-	st := NewSpanStash(2)
-	st.Put(1, []SpanRecord{{SpanID: 1}})
-	st.Put(1, []SpanRecord{{SpanID: 2}})
-	st.Put(2, []SpanRecord{{SpanID: 3}})
-	if st.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", st.Pending())
-	}
-	// A third trace evicts the oldest (trace 1).
-	st.Put(3, []SpanRecord{{SpanID: 4}})
-	if got := st.Take(1); got != nil {
-		t.Fatalf("evicted trace still present: %v", got)
-	}
-	if got := st.Take(2); len(got) != 1 || got[0].SpanID != 3 {
-		t.Fatalf("Take(2) = %v", got)
-	}
-	if got := st.Take(2); got != nil {
-		t.Fatal("Take is not removing")
-	}
-	// Nil and zero-ID are free no-ops.
-	var nilStash *SpanStash
-	nilStash.Put(1, []SpanRecord{{}})
-	if nilStash.Take(1) != nil || nilStash.Pending() != 0 {
-		t.Fatal("nil stash not inert")
-	}
-	st.Put(0, []SpanRecord{{}})
-	if st.Pending() != 1 {
-		t.Fatal("zero trace ID was stashed")
-	}
-}
-
 func TestContextSpanRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	if SpanFromContext(ctx) != nil {
@@ -187,9 +156,9 @@ func TestNilTracerInert(t *testing.T) {
 }
 
 // TestDisabledPathZeroAlloc pins the tracing-off hot path at zero
-// allocations: context lookup, child spans, intervals and completion
-// on a nil span must all be free, because the streamed chunk loop
-// runs them per operation whether or not tracing is negotiated.
+// allocations: context lookup, child spans and completion on a nil
+// span must all be free, because every request runs them whether or
+// not tracing is on.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -198,7 +167,6 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 			t.Fatal("untraced context has a trace ID")
 		}
 		child := sp.StartChild("never")
-		child.AddInterval("wait", time.Time{}, 0)
 		child.Fail()
 		child.End()
 		_ = ContextWithSpan(ctx, nil)

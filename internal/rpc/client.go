@@ -12,13 +12,15 @@ import (
 
 	"parafile/internal/obs"
 	"parafile/internal/qos"
+	"parafile/internal/redist"
 )
 
 // client.go is the compute-node side of the wire: one Client per I/O
 // node. All traffic to the node multiplexes over a single connection
-// (mux.go) — concurrent operations interleave as tagged streams, and
-// transfers larger than one chunk travel as chunked streams that
-// overlap network transmission with the server-side scatter/gather.
+// (mux.go) — concurrent requests interleave as tagged streams, and a
+// transfer larger than one chunk travels as unary pieces (piece.go), a
+// few in flight at once, so the wire, the server-side scatter/gather
+// and the next piece's transmission overlap.
 //
 // Every request in the protocol is idempotent — writes place the same
 // bytes at the same offsets, registration and close are
@@ -65,9 +67,9 @@ type ClientConfig struct {
 	// MaxFrame bounds response frames (DefaultMaxFrame when 0).
 	MaxFrame int64
 	// ChunkSize is the wire chunk (default 1 MiB, at most MaxFrame
-	// less the frame overhead): a WriteSegments/ReadSegments payload
-	// larger than one chunk travels as a chunked stream, anything
-	// smaller as a single frame.
+	// less the frame overhead): the largest data payload of one frame.
+	// A WriteSegments/ReadSegments payload larger than one chunk is cut
+	// into pieces of at most one chunk each.
 	ChunkSize int
 	// BreakerThreshold is the number of consecutive transport failures
 	// that opens the per-node circuit breaker (default 5; negative
@@ -377,7 +379,7 @@ func (c *Client) hello(ctx context.Context, conn net.Conn) error {
 	if _, err := parseResp(respFrame{msgType: msgType, payload: payload}, MsgOK); err != nil {
 		return err
 	}
-	// The mux reader enforces ReadTimeout per stream, not on the socket.
+	// The mux reader enforces ReadTimeout per request, not on the socket.
 	return conn.SetReadDeadline(time.Time{})
 }
 
@@ -472,8 +474,9 @@ func (c *Client) admit(ctx context.Context, reqType byte) error {
 // machinery: metrics, breaker admission, bounded-backoff retry on
 // transport errors, and context-aware cancellation. A RemoteError from
 // op is an answer (the node was reached), not a transport failure: it
-// is returned without retry and counts as breaker success. Both unary
-// calls and chunked streams retry through here.
+// is returned without retry and counts as breaker success. A transfer
+// cut into pieces runs all of them inside one attempt, so the op is
+// counted, admitted and retried once.
 //
 // When the context carries a traced span and tracing is on, the whole
 // call (every attempt, backoff included) runs under an rpc.* child
@@ -622,29 +625,35 @@ func (c *Client) runInner(ctx context.Context, reqType byte, op func(context.Con
 func (c *Client) call(ctx context.Context, req ...[]byte) (respFrame, error) {
 	var resp respFrame
 	err := c.run(ctx, req[0][0], func(ctx context.Context) error {
-		f, err := c.muxExchange(ctx, req...)
-		if err != nil {
-			return err
-		}
-		// Decode error answers inside the retry loop, not after it:
-		// an overloaded answer must reach the loop's backpressure
-		// branch (retry with the server's RetryAfter) instead of
-		// surfacing only once the transport retries are spent.
-		if f.msgType == MsgError {
-			re, derr := DecodeError(f.payload)
-			ReleaseFrame(f.body)
-			if derr != nil {
-				return derr
-			}
-			return re
-		}
+		f, err := c.exchangeOnce(ctx, req...)
 		resp = f
-		return nil
+		return err
 	})
 	if err != nil {
 		return respFrame{}, err
 	}
 	return resp, nil
+}
+
+// exchangeOnce is one attempt of a unary request. It decodes error
+// answers inside the retry loop, not after it: an overloaded answer
+// must reach the loop's backpressure branch (retry with the server's
+// RetryAfter) instead of surfacing only once the transport retries are
+// spent.
+func (c *Client) exchangeOnce(ctx context.Context, req ...[]byte) (respFrame, error) {
+	f, err := c.muxExchange(ctx, req...)
+	if err != nil {
+		return respFrame{}, err
+	}
+	if f.msgType == MsgError {
+		re, derr := DecodeError(f.payload)
+		ReleaseFrame(f.body)
+		if derr != nil {
+			return respFrame{}, derr
+		}
+		return respFrame{}, re
+	}
+	return f, nil
 }
 
 // parseResp classifies a response against the expected success type
@@ -703,45 +712,89 @@ func (c *Client) Forget(fp uint64) { c.registered.Delete(fp) }
 
 // WriteSegments performs a scatter (nonzero fingerprint) or contiguous
 // (zero fingerprint) write. A payload larger than one chunk travels as
-// a chunked stream, overlapping transmission with the server-side
-// scatter.
+// pieces (piece.go); only a contiguous one can be cut here, a
+// fingerprinted one needs its projection (remoteHandle.Scatter).
 func (c *Client) WriteSegments(ctx context.Context, req *WriteSegsReq) error {
-	if len(req.Data) > c.cfg.ChunkSize {
-		return c.writeStreamed(ctx, req)
+	return c.writeSegments(ctx, req, nil)
+}
+
+// writeSegments is WriteSegments with the projection a fingerprinted
+// request selects through, for the cut.
+func (c *Client) writeSegments(ctx context.Context, req *WriteSegsReq, proj *redist.Projection) error {
+	pieces, err := c.cut(req.Fingerprint, proj, req.Lo, req.Hi, int64(len(req.Data)))
+	if err != nil {
+		return err
 	}
-	return c.exchange(ctx, appendWriteSegsHead(getFrameBuf(64), req), req.Data)
+	return c.run(ctx, MsgWriteSegs, func(ctx context.Context) error {
+		return eachPiece(ctx, pieces, func(ctx context.Context, p piece) error {
+			sub := *req
+			sub.Lo, sub.Hi, sub.Data = p.lo, p.hi, req.Data[p.off:p.off+p.n]
+			head := appendWriteSegsHead(getFrameBuf(64), &sub)
+			f, err := c.exchangeOnce(ctx, head, sub.Data)
+			putFrameBuf(head)
+			if err != nil {
+				return err
+			}
+			defer ReleaseFrame(f.body)
+			_, err = parseResp(f, MsgOK)
+			return err
+		})
+	})
 }
 
 // ReadSegments performs a gather (nonzero fingerprint) or contiguous
 // (zero fingerprint) read of len(dst) bytes into dst. A read larger
-// than one chunk travels as a chunked stream.
+// than one chunk travels as pieces, cut as for WriteSegments.
 func (c *Client) ReadSegments(ctx context.Context, req *ReadSegsReq, dst []byte) error {
+	return c.readSegments(ctx, req, nil, dst)
+}
+
+// readSegments is ReadSegments with the projection for the cut.
+func (c *Client) readSegments(ctx context.Context, req *ReadSegsReq, proj *redist.Projection, dst []byte) error {
 	if req.N != int64(len(dst)) {
 		return fmt.Errorf("rpc: read of %d bytes into %d-byte buffer", req.N, len(dst))
 	}
-	if len(dst) > c.cfg.ChunkSize {
-		return c.readStreamed(ctx, req, dst)
-	}
-	reqBuf := AppendReadSegs(getFrameBuf(64), req)
-	f, err := c.call(ctx, reqBuf)
-	putFrameBuf(reqBuf)
+	pieces, err := c.cut(req.Fingerprint, proj, req.Lo, req.Hi, req.N)
 	if err != nil {
 		return err
 	}
-	defer ReleaseFrame(f.body)
-	payload, err := parseResp(f, MsgData)
-	if err != nil {
-		return err
+	return c.run(ctx, MsgReadSegs, func(ctx context.Context) error {
+		return eachPiece(ctx, pieces, func(ctx context.Context, p piece) error {
+			sub := *req
+			sub.Lo, sub.Hi, sub.N = p.lo, p.hi, p.n
+			head := AppendReadSegs(getFrameBuf(64), &sub)
+			f, err := c.exchangeOnce(ctx, head)
+			putFrameBuf(head)
+			if err != nil {
+				return err
+			}
+			defer ReleaseFrame(f.body)
+			payload, err := parseResp(f, MsgData)
+			if err != nil {
+				return err
+			}
+			data, err := DecodeData(payload)
+			if err != nil {
+				return err
+			}
+			if int64(len(data)) != p.n {
+				return fmt.Errorf("%w: read returned %d bytes, want %d", ErrCorrupt, len(data), p.n)
+			}
+			copy(dst[p.off:], data)
+			return nil
+		})
+	})
+}
+
+// cut cuts a segment request into its pieces. Only its projection can
+// cut a fingerprinted window, so a fingerprinted transfer larger than
+// one chunk is refused without one.
+func (c *Client) cut(fp uint64, proj *redist.Projection, lo, hi, n int64) ([]piece, error) {
+	chunk := int64(c.cfg.ChunkSize)
+	if fp != 0 && proj == nil && n > chunk {
+		return nil, fmt.Errorf("rpc: %d-byte transfer through projection %#x exceeds the %d-byte chunk, and its projection was not given to cut it", n, fp, chunk)
 	}
-	data, err := DecodeData(payload)
-	if err != nil {
-		return err
-	}
-	if int64(len(data)) != req.N {
-		return fmt.Errorf("%w: read returned %d bytes, want %d", ErrCorrupt, len(data), req.N)
-	}
-	copy(dst, data)
-	return nil
+	return cutWindow(proj, lo, hi, n, chunk)
 }
 
 // Stat returns the subfile's current length.

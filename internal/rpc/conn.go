@@ -12,49 +12,36 @@ import (
 // that speaks the protocol — the data daemons (Server) and the
 // metadata service (meta.Service via ServeConn). A connection opens
 // with the client's MsgHello preface; after it a single read loop
-// demultiplexes tagged frames, every unary request runs in its own
+// demultiplexes tagged frames, every request runs in its own
 // goroutine, and replies serialize under a write lock, so a slow
 // request never blocks the ones queued behind it on the same socket.
 
-// connHandler is the daemon behind a served connection.
-type connHandler interface {
-	// unary answers one request: the reply message in a pooled buffer
-	// (the loop releases it) plus the span records to ride back on the
-	// reply frame. h carries the caller's trace context.
-	unary(tenant string, h frameHdr, msgType byte, payload []byte) (reply []byte, spans []obs.SpanRecord)
-	// stream gets first refusal on every frame, before unary dispatch:
-	// a daemon that runs chunked transfers consumes their frames here.
-	// It runs on the read loop, so it must not block on anything but
-	// the stream's own window. When taken or err is set the handler
-	// owns body; an error poisons the connection.
-	stream(sc *srvConn, h frameHdr, msgType byte, body, payload []byte) (taken bool, err error)
-}
+// handler answers one request of a served connection: tenant is the
+// class the connection's preface named and h the frame's routing
+// header (the caller's trace context). It returns the reply message in
+// a pooled buffer (the loop releases it) plus the span records to ride
+// back on the reply frame.
+type handler func(tenant string, h frameHdr, msgType byte, payload []byte) (reply []byte, spans []obs.SpanRecord)
 
-// Handler answers one unary request of a daemon without chunked
-// transfers: tenant is the class the connection's preface named, the
-// result a reply message built by an Append* encoder.
+// Handler answers one request of a daemon that does not trace:
+// tenant is the class the connection's preface named, the result a
+// reply message built by an Append* encoder.
 type Handler func(tenant string, msgType byte, payload []byte) []byte
-
-func (f Handler) unary(tenant string, _ frameHdr, msgType byte, payload []byte) ([]byte, []obs.SpanRecord) {
-	return f(tenant, msgType, payload), nil
-}
-
-func (f Handler) stream(*srvConn, frameHdr, byte, []byte, []byte) (bool, error) {
-	return false, nil
-}
 
 // ServeConn runs the protocol's connection loop on an accepted
 // connection until it drops, answering every request through h. The
 // caller closes conn.
 func ServeConn(conn net.Conn, maxFrame int64, h Handler) {
-	serveConn(conn, maxFrame, h, nil, nil)
+	serveConn(conn, maxFrame, func(tenant string, _ frameHdr, msgType byte, payload []byte) ([]byte, []obs.SpanRecord) {
+		return h(tenant, msgType, payload), nil
+	}, nil, nil)
 }
 
 // srvConn is one served connection.
 type srvConn struct {
 	conn       net.Conn
 	maxFrame   int64
-	h          connHandler
+	h          handler
 	recv, sent *obs.Counter
 	// tenant is the fair-share class the preface named, fixed for the
 	// connection's lifetime (the request goroutines only read it).
@@ -62,23 +49,16 @@ type srvConn struct {
 
 	// wmu serializes outgoing frames across all streams.
 	wmu sync.Mutex
-	// wg tracks every goroutine spawned for this connection.
+	// wg tracks every request goroutine of this connection.
 	wg sync.WaitGroup
-
-	// writeStreams holds the open chunked writes of a data daemon; it
-	// is owned by the read loop goroutine.
-	writeStreams map[uint64]*srvWriteStream
 }
 
-// serveConn runs one connection until it drops, then releases every
-// stream worker and waits for the request goroutines.
-func serveConn(conn net.Conn, maxFrame int64, h connHandler, recv, sent *obs.Counter) {
+// serveConn runs one connection until it drops, then waits for the
+// request goroutines.
+func serveConn(conn net.Conn, maxFrame int64, h handler, recv, sent *obs.Counter) {
 	sc := &srvConn{conn: conn, maxFrame: maxFrame, h: h, recv: recv, sent: sent}
 	if sc.preface() {
 		sc.readLoop()
-	}
-	for _, st := range sc.writeStreams {
-		close(st.chunks)
 	}
 	sc.wg.Wait()
 }
@@ -145,17 +125,10 @@ func (sc *srvConn) readLoop() {
 			ReleaseFrame(body)
 			return
 		}
-		taken, err := sc.h.stream(sc, h, msgType, body, payload)
-		if err != nil {
-			return
-		}
-		if taken {
-			continue
-		}
 		sc.wg.Add(1)
 		go func() {
 			defer sc.wg.Done()
-			reply, spans := sc.h.unary(sc.tenant, h, msgType, payload)
+			reply, spans := sc.h(sc.tenant, h, msgType, payload)
 			ReleaseFrame(body)
 			sc.send(&frameHdr{sid: h.sid, spans: spans}, reply)
 			putFrameBuf(reply)

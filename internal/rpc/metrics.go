@@ -34,10 +34,6 @@ const (
 	// shed answer with a RetryAfter hint, data-plane attempts inside the
 	// hinted window are shed client-side without shipping the payload.
 	MetricClientPaced = "parafile_rpc_client_paced_total"
-	// Streaming: operations that traveled chunked instead of as one
-	// frame, and the chunk frames moved each way.
-	MetricClientStreamedOps = "parafile_rpc_client_streamed_ops_total"
-	MetricClientChunks      = "parafile_rpc_client_chunks_total"
 
 	// Server side: the mirrored series plus connection and open-file
 	// gauges and a per-code error counter.
@@ -49,9 +45,6 @@ const (
 	MetricServerErrors    = "parafile_rpc_server_errors_total"
 	MetricServerConns     = "parafile_rpc_server_connections"
 	MetricServerFiles     = "parafile_rpc_server_open_files"
-	// Streaming, mirrored server-side.
-	MetricServerStreams = "parafile_rpc_server_streams_total"
-	MetricServerChunks  = "parafile_rpc_server_chunks_total"
 	// MetricPoolDiscards is the shared buffer-pool discard series:
 	// every pool's retention-cap drops surface under one name,
 	// distinguished by a lowercase kind label — {kind="frame"} mirrors
@@ -73,7 +66,7 @@ const (
 )
 
 // reqTypes are the request message types with per-type volume series.
-var reqTypes = []byte{MsgCreateFile, MsgSetView, MsgWriteSegs, MsgReadSegs, MsgStat, MsgClose, MsgPing, MsgChecksum, MsgWriteStream, MsgReadStream, MsgSpans, MsgEpoch, MsgMetaCreate, MsgMetaOpen, MsgMetaList, MsgMetaRemove, MsgMetaCommit, MsgMetaExtend, MsgMetaNodes, MsgMetaNode}
+var reqTypes = []byte{MsgCreateFile, MsgSetView, MsgWriteSegs, MsgReadSegs, MsgStat, MsgClose, MsgPing, MsgChecksum, MsgEpoch, MsgMetaCreate, MsgMetaOpen, MsgMetaList, MsgMetaRemove, MsgMetaCommit, MsgMetaExtend, MsgMetaNodes, MsgMetaNode}
 
 func bindPerType(reg *obs.Registry, name string) map[byte]*obs.Counter {
 	m := make(map[byte]*obs.Counter, len(reqTypes))
@@ -84,40 +77,32 @@ func bindPerType(reg *obs.Registry, name string) map[byte]*obs.Counter {
 }
 
 type clientMetrics struct {
-	requests    map[byte]*obs.Counter
-	requestNs   *obs.Histogram
-	inflight    *obs.Gauge
-	sentBytes   *obs.Counter
-	recvBytes   *obs.Counter
-	retries     *obs.Counter
-	timeouts    *obs.Counter
-	failures    *obs.Counter
-	shed        *obs.Counter
-	paced       *obs.Counter
-	dials       *obs.Counter
-	streamedW   *obs.Counter
-	streamedR   *obs.Counter
-	chunksSent  *obs.Counter
-	chunksRecvd *obs.Counter
+	requests  map[byte]*obs.Counter
+	requestNs *obs.Histogram
+	inflight  *obs.Gauge
+	sentBytes *obs.Counter
+	recvBytes *obs.Counter
+	retries   *obs.Counter
+	timeouts  *obs.Counter
+	failures  *obs.Counter
+	shed      *obs.Counter
+	paced     *obs.Counter
+	dials     *obs.Counter
 }
 
 func newClientMetrics(reg *obs.Registry) clientMetrics {
 	return clientMetrics{
-		requests:    bindPerType(reg, MetricClientRequests),
-		requestNs:   reg.Histogram(MetricClientRequestNs, obs.LatencyBuckets()),
-		inflight:    reg.Gauge(MetricClientInflight),
-		sentBytes:   reg.Counter(MetricClientSentBytes),
-		recvBytes:   reg.Counter(MetricClientRecvBytes),
-		retries:     reg.Counter(MetricClientRetries),
-		timeouts:    reg.Counter(MetricClientTimeouts),
-		failures:    reg.Counter(MetricClientFailures),
-		shed:        reg.Counter(MetricClientShed),
-		paced:       reg.Counter(MetricClientPaced),
-		dials:       reg.Counter(MetricClientDials),
-		streamedW:   reg.Counter(MetricClientStreamedOps + `{dir="write"}`),
-		streamedR:   reg.Counter(MetricClientStreamedOps + `{dir="read"}`),
-		chunksSent:  reg.Counter(MetricClientChunks + `{dir="sent"}`),
-		chunksRecvd: reg.Counter(MetricClientChunks + `{dir="received"}`),
+		requests:  bindPerType(reg, MetricClientRequests),
+		requestNs: reg.Histogram(MetricClientRequestNs, obs.LatencyBuckets()),
+		inflight:  reg.Gauge(MetricClientInflight),
+		sentBytes: reg.Counter(MetricClientSentBytes),
+		recvBytes: reg.Counter(MetricClientRecvBytes),
+		retries:   reg.Counter(MetricClientRetries),
+		timeouts:  reg.Counter(MetricClientTimeouts),
+		failures:  reg.Counter(MetricClientFailures),
+		shed:      reg.Counter(MetricClientShed),
+		paced:     reg.Counter(MetricClientPaced),
+		dials:     reg.Counter(MetricClientDials),
 	}
 }
 
@@ -130,10 +115,6 @@ type serverMetrics struct {
 	errors       map[uint64]*obs.Counter
 	conns        *obs.Gauge
 	files        *obs.Gauge
-	streamsW     *obs.Counter
-	streamsR     *obs.Counter
-	chunksSent   *obs.Counter
-	chunksRecvd  *obs.Counter
 	poolDiscards *obs.Gauge
 }
 
@@ -160,10 +141,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		errors:       errs,
 		conns:        reg.Gauge(MetricServerConns),
 		files:        reg.Gauge(MetricServerFiles),
-		streamsW:     reg.Counter(MetricServerStreams + `{dir="write"}`),
-		streamsR:     reg.Counter(MetricServerStreams + `{dir="read"}`),
-		chunksSent:   reg.Counter(MetricServerChunks + `{dir="sent"}`),
-		chunksRecvd:  reg.Counter(MetricServerChunks + `{dir="received"}`),
 		poolDiscards: reg.Gauge(MetricPoolDiscards + `{kind="frame"}`),
 	}
 }

@@ -21,8 +21,8 @@ import (
 // server.go is the I/O-node daemon core: a concurrent TCP server that
 // hosts the subfile Storage backends of one node and executes the
 // view-driven scatter/gather requests against them. Connections run
-// on the shared loop in conn.go; this file answers its unary requests
-// and stream.go its chunked transfers. cmd/parafiled wraps it with
+// on the shared loop in conn.go; this file answers their requests.
+// cmd/parafiled wraps it with
 // flags and signal handling; tests run it in-process on a loopback
 // listener.
 
@@ -37,7 +37,7 @@ type ServerConfig struct {
 	// Metrics receives the server-side RPC series; nil records nothing.
 	Metrics *obs.Registry
 	// Trace opens server-side child spans (decode, lock wait,
-	// scatter/gather, stream stalls, fsync) for requests whose frame
+	// scatter/gather, fsync) for requests whose frame
 	// header carries a trace ID, and returns the completed records to
 	// the caller. Off by default.
 	Trace bool
@@ -68,11 +68,10 @@ type ServerConfig struct {
 // Server hosts subfile stores behind the wire protocol. One Server is
 // one I/O node; a deployment runs one parafiled per node.
 type Server struct {
-	cfg   ServerConfig
-	met   serverMetrics
-	node  string
-	stash *obs.SpanStash
-	slow  obs.SlowOpLogger
+	cfg  ServerConfig
+	met  serverMetrics
+	node string
+	slow obs.SlowOpLogger
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -132,7 +131,7 @@ func NewServer(cfg ServerConfig) *Server {
 	if node == "" {
 		node = "ion"
 	}
-	s := &Server{
+	return &Server{
 		cfg:   cfg,
 		met:   newServerMetrics(cfg.Metrics),
 		node:  node,
@@ -141,13 +140,6 @@ func NewServer(cfg ServerConfig) *Server {
 		files: make(map[string]*serverFile),
 		projs: make(map[uint64]*redist.Projection),
 	}
-	if cfg.Trace {
-		// Streamed ops park their completed spans here until the
-		// client's MsgSpans drain; the bound caps what a client that
-		// never drains can pin.
-		s.stash = obs.NewSpanStash(1024)
-	}
-	return s
 }
 
 // qosOpOf classifies a message type for admission. Only the
@@ -157,9 +149,9 @@ func NewServer(cfg ServerConfig) *Server {
 // keep answering while the data plane sheds.
 func qosOpOf(msgType byte) qos.Op {
 	switch msgType {
-	case MsgWriteSegs, MsgWriteStream:
+	case MsgWriteSegs:
 		return qos.OpWrite
-	case MsgReadSegs, MsgReadStream:
+	case MsgReadSegs:
 		return qos.OpRead
 	}
 	return qos.OpControl
@@ -293,10 +285,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	// EOF, a peer reset, the drain wake-up or garbage framing all end
 	// the loop the same way: this connection is done.
-	serveConn(conn, s.cfg.MaxFrame, s, s.met.recvBytes, s.met.sentBytes)
+	serveConn(conn, s.cfg.MaxFrame, s.unary, s.met.recvBytes, s.met.sentBytes)
 }
 
-// unary runs one request of the shared connection loop. A request
+// unary answers one request of the shared connection loop. A request
 // whose frame header carries a trace ID executes under a span adopted
 // into the caller's trace, and the completed records ride back on the
 // reply frame.
@@ -362,22 +354,10 @@ func (s *Server) dispatch(out []byte, msgType byte, payload []byte, sp *obs.Span
 		return AppendOK(out)
 	case MsgChecksum:
 		return s.handleChecksum(out, payload, sp)
-	case MsgSpans:
-		return s.handleSpans(out, payload)
 	case MsgEpoch:
 		return s.handleEpoch(out, payload)
 	}
 	return s.errResp(out, ErrCodeBadRequest, fmt.Sprintf("unknown message type %#x", msgType))
-}
-
-// handleSpans drains the span records streamed operations stashed
-// under a trace ID.
-func (s *Server) handleSpans(out, payload []byte) []byte {
-	traceID, err := DecodeSpansReq(payload)
-	if err != nil {
-		return s.errResp(out, ErrCodeBadRequest, err.Error())
-	}
-	return AppendSpansResp(out, s.stash.Take(traceID))
 }
 
 func (s *Server) handleChecksum(out, payload []byte, sp *obs.Span) []byte {
@@ -546,9 +526,9 @@ func (s *Server) projection(fp uint64) (*redist.Projection, bool) {
 	return p, ok
 }
 
-// segReq is the addressing the four segment operations share — unary
-// and streamed, scatter and gather. n is the payload size: the bytes a
-// write carries (zero makes it a pure EnsureLen) or a read asks for.
+// segReq is the addressing the segment operations share, scatter and
+// gather. n is the payload size: the bytes a write carries (zero makes
+// it a pure EnsureLen) or a read asks for.
 type segReq struct {
 	file    string
 	subfile int64

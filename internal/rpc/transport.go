@@ -314,12 +314,12 @@ func (h *remoteHandle) Scatter(ctx context.Context, p *redist.Projection, lo, hi
 		return err
 	}
 	req := &WriteSegsReq{File: h.file, Subfile: h.subfile, Fingerprint: fp, Lo: lo, Hi: hi, Data: data, Epoch: h.epoch}
-	err = h.c.WriteSegments(ctx, req)
+	err = h.c.writeSegments(ctx, req, p)
 	if isUnknownProjection(err) {
 		if err = h.reRegister(ctx, p, fp); err != nil {
 			return err
 		}
-		err = h.c.WriteSegments(ctx, req)
+		err = h.c.writeSegments(ctx, req, p)
 	}
 	return err
 }
@@ -330,12 +330,12 @@ func (h *remoteHandle) Gather(ctx context.Context, p *redist.Projection, lo, hi 
 		return err
 	}
 	req := &ReadSegsReq{File: h.file, Subfile: h.subfile, Fingerprint: fp, Lo: lo, Hi: hi, N: int64(len(dst)), Epoch: h.epoch}
-	err = h.c.ReadSegments(ctx, req, dst)
+	err = h.c.readSegments(ctx, req, p, dst)
 	if isUnknownProjection(err) {
 		if err = h.reRegister(ctx, p, fp); err != nil {
 			return err
 		}
-		err = h.c.ReadSegments(ctx, req, dst)
+		err = h.c.readSegments(ctx, req, p, dst)
 	}
 	return err
 }

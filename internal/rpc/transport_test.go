@@ -3,6 +3,8 @@ package rpc_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"parafile/internal/obs"
 	"parafile/internal/part"
 	"parafile/internal/qos"
+	"parafile/internal/redist"
 	"parafile/internal/rpc"
 )
 
@@ -178,19 +181,18 @@ func TestTransportEquivalence(t *testing.T) {
 }
 
 // TestStreamedTransportEquivalence re-runs the acceptance workload
-// with the segment operations on the chunked streamed path (chunks far
-// smaller than the payloads): write, view
-// read-back and redistribution must stay byte-identical to the
-// in-process transport, and the streamed counters must prove the new
-// path actually carried the traffic.
+// with the segment operations cut into pieces (chunks far smaller than
+// the payloads): write, view read-back and redistribution must stay
+// byte-identical to the in-process transport, and the daemons must
+// have served more pieces than the client issued ops.
 func TestStreamedTransportEquivalence(t *testing.T) {
 	const n = 64
 	local := runWorkload(t, n, clusterfile.DefaultConfig())
 
-	reg := obs.NewRegistry()
+	reg, sreg := obs.NewRegistry(), obs.NewRegistry()
 	addrs := []string{
-		startDaemon(t, rpc.ServerConfig{}),
-		startDaemon(t, rpc.ServerConfig{}),
+		startDaemon(t, rpc.ServerConfig{Metrics: sreg}),
+		startDaemon(t, rpc.ServerConfig{Metrics: sreg}),
 	}
 	tr, err := rpc.NewTransport(addrs, rpc.Options{
 		Client:  rpc.ClientConfig{ChunkSize: 16},
@@ -206,7 +208,7 @@ func TestStreamedTransportEquivalence(t *testing.T) {
 
 	for i := range local.subfiles {
 		if !bytes.Equal(local.subfiles[i], remote.subfiles[i]) {
-			t.Errorf("subfile %d differs between in-process and streamed TCP", i)
+			t.Errorf("subfile %d differs between in-process and pieced TCP", i)
 		}
 	}
 	for i := range local.reads {
@@ -220,14 +222,110 @@ func TestStreamedTransportEquivalence(t *testing.T) {
 		}
 	}
 
-	streamedW := reg.Counter(rpc.MetricClientStreamedOps + `{dir="write"}`).Value()
-	streamedR := reg.Counter(rpc.MetricClientStreamedOps + `{dir="read"}`).Value()
-	if streamedW == 0 || streamedR == 0 {
-		t.Fatalf("streamed ops (w=%d r=%d) — workload fell back to monolithic frames", streamedW, streamedR)
+	for _, typ := range []string{"write_segments", "read_segments"} {
+		ops := reg.Counter(rpc.MetricClientRequests + `{type="` + typ + `"}`).Value()
+		pieces := sreg.Counter(rpc.MetricServerRequests + `{type="` + typ + `"}`).Value()
+		if ops == 0 || pieces <= ops {
+			t.Fatalf("%s: %d pieces served for %d ops — the payloads were not cut", typ, pieces, ops)
+		}
 	}
-	chunks := reg.Counter(rpc.MetricClientChunks + `{dir="sent"}`).Value()
-	if chunks <= streamedW {
-		t.Fatalf("%d chunks for %d streamed writes — chunking did not split the payloads", chunks, streamedW)
+}
+
+// TestStreamedSplitFileIdentity writes a matrix through column-block
+// views into row-block subfiles over loopback daemons with a 4 KiB
+// chunk, at replication 1 and 2. Every (view, subfile) delivery is a
+// fragmented 9604-byte projection window, so it travels as three
+// pieces whose cuts fall inside projection segments. Every replica
+// tier of every subfile must equal redist.SplitFile's decomposition,
+// and the views must read their bytes back.
+func TestStreamedSplitFileIdentity(t *testing.T) {
+	const n = 392 // 98-byte segments: 4096-byte cuts land mid-segment
+	rows, err := part.RowBlocks(n, n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, err := part.ColBlocks(n, n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys, logical := part.MustFile(0, rows), part.MustFile(0, cols)
+	img := make([]byte, n*n)
+	rand.New(rand.NewSource(392)).Read(img)
+	want := redist.SplitFile(phys, img)
+	for _, R := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R%d", R), func(t *testing.T) {
+			sreg := obs.NewRegistry()
+			addrs := []string{startDaemon(t, rpc.ServerConfig{Metrics: sreg}), startDaemon(t, rpc.ServerConfig{Metrics: sreg})}
+			tr, err := rpc.NewTransport(addrs, rpc.Options{Client: rpc.ClientConfig{ChunkSize: 4 << 10}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			cfg := clusterfile.DefaultConfig()
+			cfg.Transport = tr
+			cfg.Replication = R
+			c, err := clusterfile.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := c.CreateFile("m", phys, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			// Each view's bytes, in its own linear order.
+			bufs := redist.SplitFile(logical, img)
+			views := make([]*clusterfile.View, len(bufs))
+			for i := range bufs {
+				if views[i], err = f.SetView(i, logical, i); err != nil {
+					t.Fatal(err)
+				}
+				op, err := views[i].StartWrite(clusterfile.ToBufferCache, 0, int64(len(bufs[i]))-1, bufs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.RunAll()
+				if op.Err != nil {
+					t.Fatalf("view %d write: %v", i, op.Err)
+				}
+			}
+			// Read every replica store straight off the daemon that
+			// hosts it.
+			for r, row := range f.Placement {
+				for e, node := range row {
+					dc := rpc.NewClient(rpc.ClientConfig{Addr: addrs[node%len(addrs)]})
+					got := make([]byte, len(want[e]))
+					err := dc.ReadSegments(context.Background(), &rpc.ReadSegsReq{
+						File: clusterfile.ReplicaName("m", r), Subfile: int64(e), Hi: int64(len(got)) - 1, N: int64(len(got)),
+					}, got)
+					dc.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want[e]) {
+						t.Fatalf("replica %d of subfile %d differs from SplitFile", r, e)
+					}
+				}
+			}
+			for i, v := range views {
+				got := make([]byte, len(bufs[i]))
+				op, err := v.StartRead(0, int64(len(got))-1, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.RunAll()
+				if op.Err != nil {
+					t.Fatal(op.Err)
+				}
+				if !bytes.Equal(got, bufs[i]) {
+					t.Fatalf("view %d read-back differs", i)
+				}
+			}
+			// 4 views x 4 subfiles x R deliveries of 3 pieces each.
+			if w := sreg.Counter(rpc.MetricServerRequests + `{type="write_segments"}`).Value(); w != uint64(48*R) {
+				t.Fatalf("%d write pieces, want %d", w, 48*R)
+			}
+		})
 	}
 }
 

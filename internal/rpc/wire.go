@@ -22,8 +22,8 @@
 // exponential-backoff retry; every request is idempotent (writes place
 // the same bytes at the same offsets), which is what makes blind retry
 // after a connection drop safe. The server side (conn.go) is one
-// demultiplexing loop shared by the data daemons (server.go, stream.go)
-// and the metadata service. transport.go adapts a set of daemons to
+// demultiplexing loop shared by the data daemons (server.go) and the
+// metadata service. transport.go adapts a set of daemons to
 // clusterfile.Transport.
 package rpc
 
@@ -54,10 +54,12 @@ const MaxProtoVersion = 4
 // corrupt length prefix from allocating the machine away.
 const DefaultMaxFrame = 64 << 20
 
-// frameSlack is the room a chunk frame needs beyond its data — header,
-// message type, chunk flags — with margin. Both sides clamp chunk
-// sizes to MaxFrame-frameSlack.
-const frameSlack = 64
+// frameSlack is the room a data frame needs beyond its payload: the
+// frame header and the message head, whose file name is the only part
+// of unbounded length. The client clamps its chunk to
+// MaxFrame-frameSlack, so every piece fits a frame for names of up to
+// the 255 bytes a subfile's on-disk name allows, with margin.
+const frameSlack = 1 << 10
 
 // Request message types.
 const (
@@ -80,26 +82,6 @@ const (
 	// beyond the current length count as zeroes. Scrub compares
 	// replicas with it without shipping the data.
 	MsgChecksum byte = 0x09
-	// MsgWriteStream opens a chunked scatter: same
-	// addressing as MsgWriteSegs but the data follows as MsgWriteChunk
-	// frames on the same stream id, so the server scatters while later
-	// chunks are still in flight. The server answers once, after the
-	// last chunk.
-	MsgWriteStream byte = 0x0A
-	// MsgWriteChunk carries one slice of a write stream's data:
-	// [flags byte][bytes]. flagChunkLast marks the final slice,
-	// flagChunkAbort cancels the stream without a server reply.
-	MsgWriteChunk byte = 0x0B
-	// MsgReadStream opens a chunked gather: same
-	// addressing as MsgReadSegs plus the chunk size the client wants;
-	// the server answers with MsgDataChunk frames.
-	MsgReadStream byte = 0x0C
-	// MsgSpans drains the span records a streamed operation left
-	// behind: [uvarint trace id] → MsgSpansResp. A stream's reply is
-	// built before its server span closes, so the records cannot ride
-	// the reply frame like a unary call's; the client collects them
-	// with one drain call after the stream settles.
-	MsgSpans byte = 0x0E
 	// MsgEpoch is the placement-epoch admin request a rebalance driver
 	// sends to a data daemon: it stamps (ratchets) the placement epoch
 	// of every store of a file and raises or clears the write fence.
@@ -163,22 +145,7 @@ const (
 	MsgData         byte = 0x11
 	MsgStatResp     byte = 0x12
 	MsgChecksumResp byte = 0x14
-	// MsgDataChunk carries one slice of a read stream's gathered bytes:
-	// [flags byte][bytes]. flagChunkLast marks the final slice.
-	MsgDataChunk byte = 0x15
-	// MsgSpansResp answers MsgSpans: [span records].
-	MsgSpansResp byte = 0x17
-	MsgError     byte = 0x1F
-)
-
-// Chunk frame flags (first payload byte of MsgWriteChunk/MsgDataChunk).
-const (
-	// flagChunkLast marks the final chunk of a stream.
-	flagChunkLast byte = 1 << 0
-	// flagChunkAbort cancels the stream: the sender gave up mid-transfer
-	// (context cancellation, local error) and the receiver must tear the
-	// stream down without waiting for more chunks.
-	flagChunkAbort byte = 1 << 1
+	MsgError        byte = 0x1F
 )
 
 // MsgName returns the metrics label of a message type.
@@ -202,16 +169,6 @@ func MsgName(t byte) string {
 		return "hello"
 	case MsgChecksum:
 		return "checksum"
-	case MsgWriteStream:
-		return "write_stream"
-	case MsgWriteChunk:
-		return "write_chunk"
-	case MsgReadStream:
-		return "read_stream"
-	case MsgDataChunk:
-		return "data_chunk"
-	case MsgSpans:
-		return "spans"
 	case MsgEpoch:
 		return "epoch"
 	case MsgMetaCreate:
@@ -250,8 +207,6 @@ func MsgName(t byte) string {
 		return "meta_list_resp"
 	case MsgMetaNodesResp:
 		return "meta_nodes_resp"
-	case MsgSpansResp:
-		return "spans_resp"
 	case MsgOK:
 		return "ok"
 	case MsgData:
@@ -375,15 +330,31 @@ func Fingerprint(encoded []byte) uint64 {
 	return fp
 }
 
-// frameBufPool recycles frame encode/decode buffers across requests on
-// both sides of the wire.
-var frameBufPool sync.Pool
+// frameBufPools recycle frame encode/decode buffers across requests on
+// both sides of the wire, in two classes: message heads and control
+// frames draw from the small class, data frames from the large one. One
+// shared pool let a 40-byte request hold a chunk-sized buffer while its
+// reply allocated another, and let a data frame pop a small buffer only
+// to drop it.
+var frameBufPools [2]sync.Pool
+
+// smallFrameBuf is the capacity of every small-class buffer, so any
+// small request fits the first buffer it pops.
+const smallFrameBuf = 4 << 10
+
+// frameBufClass is the pool class of a buffer of (at least) n bytes.
+func frameBufClass(n int) int {
+	if n <= smallFrameBuf {
+		return 0
+	}
+	return 1
+}
 
 // maxPooledFrame caps frame-pool retention: buffers above this size are
 // dropped on release instead of returned to the pool, so one oversized
 // frame cannot pin tens of megabytes for the life of the process.
-// Default-sized stream chunks sit well below the cap, which is the
-// point — the steady-state pool holds chunk-sized buffers only.
+// Default-sized pieces sit well below the cap, which is the point —
+// the steady-state pool holds chunk-sized buffers only.
 const maxPooledFrame = 8 << 20
 
 // framePoolDiscards counts buffers dropped by the retention cap.
@@ -395,11 +366,15 @@ func FramePoolDiscards() int64 { return framePoolDiscards.Load() }
 
 // getFrameBuf returns a zero-length buffer with at least n capacity.
 func getFrameBuf(n int) []byte {
-	if v := frameBufPool.Get(); v != nil {
+	class := frameBufClass(n)
+	if v := frameBufPools[class].Get(); v != nil {
 		b := *(v.(*[]byte))
 		if cap(b) >= n {
 			return b[:0]
 		}
+	}
+	if class == 0 {
+		n = smallFrameBuf
 	}
 	return make([]byte, 0, n)
 }
@@ -416,15 +391,15 @@ func putFrameBuf(b []byte) {
 		return
 	}
 	b = b[:0]
-	frameBufPool.Put(&b)
+	frameBufPools[frameBufClass(cap(b))].Put(&b)
 }
 
 // frameHdr is the routing header every frame body carries between the
 // version byte and the message.
 type frameHdr struct {
-	// sid pairs a reply with its request and ties a transfer's chunks
-	// together: every frame of one call carries the id the client drew
-	// for it. The connection preface travels on stream 0.
+	// sid pairs a reply with its request: both frames carry the id the
+	// client drew for the call. The connection preface travels on
+	// stream 0.
 	sid uint64
 	// trace and span are the caller's trace context on a request (the
 	// server's spans become children of span); zero trace = untraced.
@@ -1046,132 +1021,7 @@ func DecodeError(payload []byte) (*RemoteError, error) {
 	return e, wantEmpty(payload)
 }
 
-// --- chunked transfers ---
-
-// A chunk message (MsgWriteChunk or MsgDataChunk) is [type][flags]
-// followed by the chunk's data, which travels as its own part of the
-// vectored frame write and is never copied into a message buffer.
-
-// splitChunk splits a chunk payload into its flags byte and data.
-func splitChunk(payload []byte) (flags byte, data []byte, err error) {
-	if len(payload) < 1 {
-		return 0, nil, fmt.Errorf("%w: chunk without flags byte", ErrCorrupt)
-	}
-	return payload[0], payload[1:], nil
-}
-
-// WriteStreamReq opens a chunked scatter: the same addressing as
-// WriteSegsReq, with the data instead arriving as MsgWriteChunk frames
-// totalling Total bytes.
-type WriteStreamReq struct {
-	File        string
-	Subfile     int64
-	Fingerprint uint64
-	Lo, Hi      int64
-	Total       int64
-	// Epoch as on WriteSegsReq.
-	Epoch uint64
-}
-
-// AppendWriteStream encodes req as a message.
-func AppendWriteStream(buf []byte, req *WriteStreamReq) []byte {
-	buf = beginMsg(buf, MsgWriteStream)
-	buf = appendString(buf, req.File)
-	buf = codec.AppendVarint(buf, req.Subfile)
-	buf = codec.AppendUvarint(buf, req.Fingerprint)
-	buf = codec.AppendVarint(buf, req.Lo)
-	buf = codec.AppendVarint(buf, req.Hi)
-	buf = codec.AppendVarint(buf, req.Total)
-	return codec.AppendUvarint(buf, req.Epoch)
-}
-
-// DecodeWriteStream decodes a MsgWriteStream payload.
-func DecodeWriteStream(payload []byte) (*WriteStreamReq, error) {
-	req := &WriteStreamReq{}
-	var err error
-	if req.File, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	if req.Subfile, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Fingerprint, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Lo, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Hi, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Total, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Epoch, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	return req, wantEmpty(payload)
-}
-
-// ReadStreamReq opens a chunked gather: the same addressing as
-// ReadSegsReq plus the chunk size the client wants the N gathered
-// bytes sliced into.
-type ReadStreamReq struct {
-	File        string
-	Subfile     int64
-	Fingerprint uint64
-	Lo, Hi      int64
-	N           int64
-	ChunkSize   int64
-	// Epoch as on WriteSegsReq.
-	Epoch uint64
-}
-
-// AppendReadStream encodes req as a message.
-func AppendReadStream(buf []byte, req *ReadStreamReq) []byte {
-	buf = beginMsg(buf, MsgReadStream)
-	buf = appendString(buf, req.File)
-	buf = codec.AppendVarint(buf, req.Subfile)
-	buf = codec.AppendUvarint(buf, req.Fingerprint)
-	buf = codec.AppendVarint(buf, req.Lo)
-	buf = codec.AppendVarint(buf, req.Hi)
-	buf = codec.AppendVarint(buf, req.N)
-	buf = codec.AppendVarint(buf, req.ChunkSize)
-	return codec.AppendUvarint(buf, req.Epoch)
-}
-
-// DecodeReadStream decodes a MsgReadStream payload.
-func DecodeReadStream(payload []byte) (*ReadStreamReq, error) {
-	req := &ReadStreamReq{}
-	var err error
-	if req.File, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	if req.Subfile, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Fingerprint, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Lo, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Hi, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.N, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.ChunkSize, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Epoch, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	return req, wantEmpty(payload)
-}
-
-// --- tracing: span records (frame header section and drains) ---
+// --- tracing: span records (frame header section) ---
 
 // maxSpanRecords bounds a decoded record batch: no legitimate op tree
 // is deeper or wider than this, and the cap stops a corrupt count
@@ -1254,34 +1104,4 @@ func ReadSpanRecords(payload []byte) ([]obs.SpanRecord, []byte, error) {
 		recs = append(recs, r)
 	}
 	return recs, payload, nil
-}
-
-// AppendSpansReq encodes a MsgSpans drain request.
-func AppendSpansReq(buf []byte, traceID uint64) []byte {
-	buf = beginMsg(buf, MsgSpans)
-	return codec.AppendUvarint(buf, traceID)
-}
-
-// DecodeSpansReq decodes a MsgSpans payload.
-func DecodeSpansReq(payload []byte) (uint64, error) {
-	traceID, payload, err := readUvarint(payload)
-	if err != nil {
-		return 0, err
-	}
-	return traceID, wantEmpty(payload)
-}
-
-// AppendSpansResp encodes the drained records.
-func AppendSpansResp(buf []byte, recs []obs.SpanRecord) []byte {
-	buf = beginMsg(buf, MsgSpansResp)
-	return AppendSpanRecords(buf, recs)
-}
-
-// DecodeSpansResp decodes a MsgSpansResp payload.
-func DecodeSpansResp(payload []byte) ([]obs.SpanRecord, error) {
-	recs, payload, err := ReadSpanRecords(payload)
-	if err != nil {
-		return nil, err
-	}
-	return recs, wantEmpty(payload)
 }
