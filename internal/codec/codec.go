@@ -8,12 +8,13 @@
 // free of higher-layer dependencies so that redist can in turn use
 // EncodeFile as the canonical plan-cache fingerprint.
 //
-// The encoding is varint-based (encoding/binary), self-delimiting and
-// versioned.
+// Every format of the tree — these structures, the rpc messages and
+// the metadata log records — is written once, as a Wire method on the
+// symmetric Coder (coder.go). The encoding is varint-based
+// (encoding/binary), self-delimiting and versioned.
 package codec
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"parafile/internal/falls"
@@ -26,182 +27,94 @@ const Version = 1
 // ErrCorrupt is wrapped by all decode failures.
 var ErrCorrupt = fmt.Errorf("codec: corrupt input")
 
-// AppendUvarint appends an unsigned varint.
-func AppendUvarint(buf []byte, v uint64) []byte {
-	return binary.AppendUvarint(buf, v)
+// VersionTag codes the format version that leads a file or projection
+// encoding; a decode of any other version fails.
+func VersionTag(c *Coder) {
+	v := uint64(Version)
+	c.Uvarint(&v)
+	if v != Version && c.Err() == nil {
+		c.Fail(fmt.Errorf("unknown version %d", v))
+	}
 }
 
-// AppendVarint appends a signed (zig-zag) varint.
-func AppendVarint(buf []byte, v int64) []byte {
-	return binary.AppendVarint(buf, v)
-}
-
-// ReadUvarint consumes an unsigned varint, returning the remainder.
-func ReadUvarint(buf []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
+// FALLSWire codes a flat FALLS; a decoded one must be valid.
+func FALLSWire(c *Coder, f *falls.FALLS) {
+	c.Varint(&f.L)
+	c.Varint(&f.R)
+	c.Varint(&f.S)
+	c.Varint(&f.N)
+	if c.Decoding() && c.Err() == nil {
+		if err := f.Validate(); err != nil {
+			c.Fail(err)
+		}
 	}
-	return v, buf[n:], nil
-}
-
-// ReadVarint consumes a signed varint, returning the remainder.
-func ReadVarint(buf []byte) (int64, []byte, error) {
-	v, n := binary.Varint(buf)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad varint", ErrCorrupt)
-	}
-	return v, buf[n:], nil
-}
-
-// Unexported aliases keep the package-internal call sites short.
-func appendUvarint(buf []byte, v uint64) []byte      { return AppendUvarint(buf, v) }
-func appendVarint(buf []byte, v int64) []byte        { return AppendVarint(buf, v) }
-func readUvarint(buf []byte) (uint64, []byte, error) { return ReadUvarint(buf) }
-func readVarint(buf []byte) (int64, []byte, error)   { return ReadVarint(buf) }
-
-// AppendFALLS appends the encoding of a flat FALLS.
-func AppendFALLS(buf []byte, f falls.FALLS) []byte {
-	buf = appendVarint(buf, f.L)
-	buf = appendVarint(buf, f.R)
-	buf = appendVarint(buf, f.S)
-	buf = appendVarint(buf, f.N)
-	return buf
-}
-
-// DecodeFALLS decodes a flat FALLS, returning the remaining bytes.
-func DecodeFALLS(buf []byte) (falls.FALLS, []byte, error) {
-	var f falls.FALLS
-	var err error
-	if f.L, buf, err = readVarint(buf); err != nil {
-		return f, nil, err
-	}
-	if f.R, buf, err = readVarint(buf); err != nil {
-		return f, nil, err
-	}
-	if f.S, buf, err = readVarint(buf); err != nil {
-		return f, nil, err
-	}
-	if f.N, buf, err = readVarint(buf); err != nil {
-		return f, nil, err
-	}
-	if err := f.Validate(); err != nil {
-		return f, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return f, buf, nil
-}
-
-// AppendSet appends the encoding of a nested FALLS set.
-func AppendSet(buf []byte, s falls.Set) []byte {
-	buf = appendUvarint(buf, uint64(len(s)))
-	for _, n := range s {
-		buf = AppendFALLS(buf, n.FALLS)
-		buf = AppendSet(buf, n.Inner)
-	}
-	return buf
 }
 
 // maxNestingDepth bounds decoded tree height: deeper inputs are
 // corrupt (or hostile) — real partitions are a handful of levels.
 const maxNestingDepth = 64
 
-// DecodeSet decodes a nested FALLS set.
-func DecodeSet(buf []byte) (falls.Set, []byte, error) {
-	return decodeSetDepth(buf, 0)
-}
+// SetWire codes a nested FALLS set: a count, then each member's FALLS
+// and inner set. A decoded set must be valid.
+func SetWire(c *Coder, s *falls.Set) { setWire(c, s, 0) }
 
-func decodeSetDepth(buf []byte, depth int) (falls.Set, []byte, error) {
+func setWire(c *Coder, s *falls.Set, depth int) {
 	if depth > maxNestingDepth {
-		return nil, nil, fmt.Errorf("%w: nesting deeper than %d levels", ErrCorrupt, maxNestingDepth)
+		c.Fail(fmt.Errorf("nesting deeper than %d levels", maxNestingDepth))
+		return
 	}
-	count, buf, err := readUvarint(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if count > uint64(len(buf)) {
-		// Each member needs at least one byte; cheap bomb guard.
-		return nil, nil, fmt.Errorf("%w: implausible member count %d", ErrCorrupt, count)
-	}
-	var s falls.Set
-	for i := uint64(0); i < count; i++ {
-		var f falls.FALLS
-		if f, buf, err = DecodeFALLS(buf); err != nil {
-			return nil, nil, err
+	List(c, s)
+	for i := range *s {
+		if c.Decoding() {
+			(*s)[i] = new(falls.Nested)
 		}
-		var inner falls.Set
-		if inner, buf, err = decodeSetDepth(buf, depth+1); err != nil {
-			return nil, nil, err
+		FALLSWire(c, &(*s)[i].FALLS)
+		setWire(c, &(*s)[i].Inner, depth+1)
+		if c.Err() != nil {
+			*s = nil
+			return
 		}
-		n, err := falls.NewNested(f, inner)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if c.Decoding() {
+		if err := s.Validate(); err != nil {
+			c.Fail(err)
+			*s = nil
 		}
-		s = append(s, n)
 	}
-	if err := s.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return s, buf, nil
 }
 
-// EncodeFile encodes a file description: displacement plus the named
-// partitioning pattern.
-func EncodeFile(f *part.File) []byte {
-	buf := appendUvarint(nil, Version)
-	buf = appendVarint(buf, f.Displacement)
-	buf = appendUvarint(buf, uint64(f.Pattern.Len()))
-	for _, e := range f.Pattern.Elements() {
-		buf = appendUvarint(buf, uint64(len(e.Name)))
-		buf = append(buf, e.Name...)
-		buf = AppendSet(buf, e.Set)
+// file is the encoding of a file description: displacement plus the
+// named partitioning pattern.
+type file struct {
+	disp  int64
+	elems []part.Element
+}
+
+func (f *file) Wire(c *Coder) {
+	VersionTag(c)
+	c.Varint(&f.disp)
+	List(c, &f.elems)
+	for i := range f.elems {
+		c.String(&f.elems[i].Name)
+		SetWire(c, &f.elems[i].Set)
 	}
-	return buf
+}
+
+// EncodeFile encodes a file description.
+func EncodeFile(f *part.File) []byte {
+	return Append(nil, &file{disp: f.Displacement, elems: f.Pattern.Elements()})
 }
 
 // DecodeFile decodes a file description, revalidating the pattern
 // tiling.
 func DecodeFile(buf []byte) (*part.File, error) {
-	v, buf, err := readUvarint(buf)
-	if err != nil {
+	var f file
+	if err := Decode(buf, &f); err != nil {
 		return nil, err
 	}
-	if v != Version {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrCorrupt, v)
-	}
-	disp, buf, err := readVarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	count, buf, err := readUvarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(len(buf))+1 {
-		return nil, fmt.Errorf("%w: implausible element count %d", ErrCorrupt, count)
-	}
-	elems := make([]part.Element, 0, count)
-	for i := uint64(0); i < count; i++ {
-		nameLen, rest, err := readUvarint(buf)
-		if err != nil {
-			return nil, err
-		}
-		if nameLen > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: name overruns buffer", ErrCorrupt)
-		}
-		name := string(rest[:nameLen])
-		buf = rest[nameLen:]
-		var set falls.Set
-		if set, buf, err = DecodeSet(buf); err != nil {
-			return nil, err
-		}
-		elems = append(elems, part.Element{Name: name, Set: set})
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
-	}
-	pat, err := part.NewPattern(elems...)
+	pat, err := part.NewPattern(f.elems...)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return part.NewFile(disp, pat)
+	return part.NewFile(f.disp, pat)
 }

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -9,6 +10,19 @@ import (
 	"parafile/internal/part"
 )
 
+// roundTrip encodes v with wire and decodes the result.
+func roundTrip[T any](wire func(*Coder, *T), v T) (T, error) {
+	return decodeWith(wire, encodeWith(wire, v))
+}
+
+// decodeWith decodes all of buf with wire.
+func decodeWith[T any](wire func(*Coder, *T), buf []byte) (T, error) {
+	var v T
+	c := NewDecoder(buf)
+	wire(&c, &v)
+	return v, c.Finish()
+}
+
 func TestFALLSRoundTrip(t *testing.T) {
 	cases := []falls.FALLS{
 		falls.MustNew(2, 5, 6, 5),
@@ -16,10 +30,9 @@ func TestFALLSRoundTrip(t *testing.T) {
 		falls.MustNew(1000000, 1000063, 2048, 4096),
 	}
 	for _, f := range cases {
-		buf := AppendFALLS(nil, f)
-		got, rest, err := DecodeFALLS(buf)
-		if err != nil || len(rest) != 0 || got != f {
-			t.Errorf("round trip of %v: got %v, rest %d, err %v", f, got, len(rest), err)
+		got, err := roundTrip(FALLSWire, f)
+		if err != nil || got != f {
+			t.Errorf("round trip of %v: got %v, err %v", f, got, err)
 		}
 	}
 }
@@ -70,13 +83,9 @@ func TestPropertySetRoundTrip(t *testing.T) {
 		if s.Validate() != nil {
 			continue
 		}
-		buf := AppendSet(nil, s)
-		got, rest, err := DecodeSet(buf)
+		got, err := roundTrip(SetWire, s)
 		if err != nil {
 			t.Fatalf("decode of %v failed: %v", s, err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("decode left %d bytes", len(rest))
 		}
 		if !got.Equal(s) {
 			t.Fatalf("round trip changed set:\nin  %v\nout %v", s, got)
@@ -142,9 +151,9 @@ func TestCorruptionRejected(t *testing.T) {
 		t.Error("trailing bytes accepted")
 	}
 	// Bomb guard: absurd member counts fail fast.
-	bomb := appendUvarint(nil, 1)     // version
-	bomb = appendVarint(bomb, 0)      // displacement
-	bomb = appendUvarint(bomb, 1<<40) // element count
+	bomb := binary.AppendUvarint(nil, 1)     // version
+	bomb = binary.AppendVarint(bomb, 0)      // displacement
+	bomb = binary.AppendUvarint(bomb, 1<<40) // element count
 	if _, err := DecodeFile(bomb); err == nil {
 		t.Error("element-count bomb accepted")
 	}
@@ -157,22 +166,24 @@ func TestDeepNestingRejected(t *testing.T) {
 	// inner set is the next level.
 	var build func(depth int) []byte
 	build = func(depth int) []byte {
-		buf := appendUvarint(nil, 1)                      // one member
-		buf = AppendFALLS(buf, falls.MustNew(0, 0, 1, 1)) // trivial FALLS
+		trivial := falls.MustNew(0, 0, 1, 1)
+		c := NewEncoder(binary.AppendUvarint(nil, 1)) // one member
+		FALLSWire(&c, &trivial)
 		if depth == 0 {
-			return append(buf, appendUvarint(nil, 0)...) // empty inner
+			return binary.AppendUvarint(c.Buf(), 0) // empty inner
 		}
+		buf := c.Buf()
 		return append(buf, build(depth-1)...)
 	}
 	deep := build(100)
-	if _, _, err := DecodeSet(deep); err == nil {
+	if _, err := decodeWith(SetWire, deep); err == nil {
 		t.Fatal("100-deep nesting accepted")
 	} else if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	// A modest depth still decodes.
 	shallow := build(8)
-	if _, _, err := DecodeSet(shallow); err != nil {
+	if _, err := decodeWith(SetWire, shallow); err != nil {
 		t.Fatalf("8-deep nesting rejected: %v", err)
 	}
 }

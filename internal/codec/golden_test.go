@@ -14,6 +14,12 @@ import (
 // EncodeFile is the plan-cache fingerprint and CreateFile's physical
 // partition, so its bytes must never move.
 
+func encodeWith[T any](wire func(*Coder, *T), v T) []byte {
+	c := NewEncoder(nil)
+	wire(&c, &v)
+	return c.Buf()
+}
+
 func TestCodecGolden(t *testing.T) {
 	set := falls.Set{
 		falls.MustNested(falls.MustNew(0, 7, 16, 4), falls.Set{falls.MustLeaf(1, 2, 4, 2)}),
@@ -30,8 +36,8 @@ func TestCodecGolden(t *testing.T) {
 		name string
 		enc  []byte
 	}{
-		{"falls", AppendFALLS(nil, falls.MustNew(1000000, 1000063, 2048, 4096))},
-		{"set", AppendSet(nil, set)},
+		{"falls", encodeWith(FALLSWire, falls.MustNew(1000000, 1000063, 2048, 4096))},
+		{"set", encodeWith(SetWire, set)},
 		{"file", EncodeFile(part.MustFile(7, pat))},
 	}
 	var b strings.Builder

@@ -47,11 +47,11 @@ func goldenRecords(t *testing.T) string {
 		name string
 		enc  []byte
 	}{
-		{"put", putRecord(f)},
-		{"del", delRecord("matrix")},
-		{"node", nodeRecord("10.0.0.3:7070", 1)},
-		{"entry", entryRecord(300, 5, delRecord("matrix"))},
-		{"applied", appliedRecord(300, 5)},
+		{"put", record(recPut, f)},
+		{"del", record(recDel, &delRec{"matrix"})},
+		{"node", record(recNode, &rpc.MetaNode{Addr: "10.0.0.3:7070", State: 1})},
+		{"entry", record(recEntry, &entryRec{300, 5, record(recDel, &delRec{"matrix"})})},
+		{"applied", record(recApplied, &appliedRec{300, 5})},
 		{"vote", vote},
 		{"snapshot", st.SerializeState()},
 	}

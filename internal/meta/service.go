@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,7 +165,7 @@ func (s *Service) route(_ string, msgType byte, payload []byte) []byte {
 		if len(payload) != 0 {
 			return s.errResp(rpc.ErrCodeBadRequest, "ping with payload")
 		}
-		return rpc.AppendOK(nil)
+		return rpc.Encode(nil, rpc.MsgOK, nil)
 	case rpc.MsgMetaVote:
 		return s.handleVote(payload)
 	case rpc.MsgMetaAppend:
@@ -192,7 +193,7 @@ func (s *Service) route(_ string, msgType byte, payload []byte) []byte {
 		if len(payload) != 0 {
 			return s.errResp(rpc.ErrCodeBadRequest, "list with payload")
 		}
-		return rpc.AppendMetaListResp(nil, s.cfg.Store.List())
+		return rpc.Encode(nil, rpc.MsgMetaListResp, &rpc.MetaListResp{Files: s.cfg.Store.List()})
 	case rpc.MsgMetaRemove:
 		return s.handleRemove(payload)
 	case rpc.MsgMetaCommit:
@@ -203,7 +204,7 @@ func (s *Service) route(_ string, msgType byte, payload []byte) []byte {
 		if len(payload) != 0 {
 			return s.errResp(rpc.ErrCodeBadRequest, "nodes with payload")
 		}
-		return rpc.AppendMetaNodesResp(nil, s.cfg.Store.Nodes())
+		return rpc.Encode(nil, rpc.MsgMetaNodesResp, &rpc.MetaNodesResp{Nodes: s.cfg.Store.Nodes()})
 	case rpc.MsgMetaNode:
 		return s.handleNode(payload)
 	}
@@ -227,51 +228,51 @@ func (s *Service) notLeader() []byte {
 	if hint == "" {
 		retry = 50 * time.Millisecond
 	}
-	return rpc.AppendErrorLeader(nil, rpc.ErrCodeNotLeader,
-		"not the metadata leader", retry, hint)
+	return rpc.Encode(nil, rpc.MsgError, &rpc.RemoteError{Code: rpc.ErrCodeNotLeader,
+		Msg: "not the metadata leader", RetryAfter: retry, Leader: hint})
 }
 
 func (s *Service) handleVote(payload []byte) []byte {
-	req, err := rpc.DecodeMetaVote(payload)
-	if err != nil {
+	var req rpc.MetaVoteReq
+	if err := rpc.Decode(payload, &req); err != nil {
 		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
 	}
 	if s.cfg.Group == nil {
 		return s.errResp(rpc.ErrCodeBadRequest, "node is not part of a replication group")
 	}
-	return rpc.AppendMetaVoteResp(nil, s.cfg.Group.HandleVote(req))
+	return rpc.Encode(nil, rpc.MsgMetaVoteResp, s.cfg.Group.HandleVote(&req))
 }
 
 func (s *Service) handleAppendEntries(payload []byte) []byte {
-	req, err := rpc.DecodeMetaAppend(payload)
-	if err != nil {
+	var req rpc.MetaAppendReq
+	if err := rpc.Decode(payload, &req); err != nil {
 		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
 	}
 	if s.cfg.Group == nil {
 		return s.errResp(rpc.ErrCodeBadRequest, "node is not part of a replication group")
 	}
-	return rpc.AppendMetaAppendResp(nil, s.cfg.Group.HandleAppend(context.Background(), req))
+	return rpc.Encode(nil, rpc.MsgMetaAppendResp, s.cfg.Group.HandleAppend(context.Background(), &req))
 }
 
 func (s *Service) handleSnapInstall(payload []byte) []byte {
-	req, err := rpc.DecodeMetaSnapInstall(payload)
-	if err != nil {
+	var req rpc.MetaSnapInstallReq
+	if err := rpc.Decode(payload, &req); err != nil {
 		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
 	}
 	if s.cfg.Group == nil {
 		return s.errResp(rpc.ErrCodeBadRequest, "node is not part of a replication group")
 	}
-	return rpc.AppendMetaAppendResp(nil, s.cfg.Group.HandleSnapInstall(context.Background(), req))
+	return rpc.Encode(nil, rpc.MsgMetaAppendResp, s.cfg.Group.HandleSnapInstall(context.Background(), &req))
 }
 
 // handleStatus answers on any node, leader or not — it is how clients
 // and operators discover the leader in the first place.
 func (s *Service) handleStatus() []byte {
 	if g := s.cfg.Group; g != nil {
-		return rpc.AppendMetaStatusResp(nil, g.Status())
+		return rpc.Encode(nil, rpc.MsgMetaStatusResp, g.Status())
 	}
 	idx, trm := s.cfg.Store.LastEntry()
-	return rpc.AppendMetaStatusResp(nil, &rpc.MetaStatusInfo{
+	return rpc.Encode(nil, rpc.MsgMetaStatusResp, &rpc.MetaStatusInfo{
 		Term:      s.cfg.Store.Term(),
 		Role:      rpc.RoleStandalone,
 		LastIndex: idx,
@@ -280,15 +281,30 @@ func (s *Service) handleStatus() []byte {
 	})
 }
 
+// checkNamespaceName refuses a name a file cannot be created under:
+// one the daemons refuse (rpc.CheckFileName), or one holding '@' or
+// '~', which the store names of other files' generations ("name@N")
+// and replica tiers ("name~rR") use — a file created as "a@2" would
+// share stores with a rebalance of "a".
+func checkNamespaceName(name string) error {
+	if err := rpc.CheckFileName(name); err != nil {
+		return err
+	}
+	if strings.ContainsAny(name, "@~") {
+		return fmt.Errorf("bad file name %q: '@' and '~' are reserved for store names", name)
+	}
+	return nil
+}
+
 // handleCreate computes the initial placement over the active nodes:
 // one subfile per active node, identity assign, epoch 1.
 func (s *Service) handleCreate(payload []byte) []byte {
-	req, err := rpc.DecodeMetaCreate(payload)
-	if err != nil {
+	var req rpc.MetaCreateReq
+	if err := rpc.Decode(payload, &req); err != nil {
 		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
 	}
-	if req.Name == "" {
-		return s.errResp(rpc.ErrCodeBadRequest, "empty file name")
+	if err := checkNamespaceName(req.Name); err != nil {
+		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
 	}
 	stripe := req.StripeBytes
 	if stripe == 0 {
@@ -326,48 +342,48 @@ func (s *Service) handleCreate(payload []byte) []byte {
 		return s.storeErr(err)
 	}
 	s.logf("meta create", "file", f.Name, "nodes", len(f.Nodes), "replication", repl)
-	return rpc.AppendMetaFileResp(nil, f)
+	return rpc.Encode(nil, rpc.MsgMetaFileResp, f)
 }
 
 func (s *Service) handleOpen(payload []byte) []byte {
-	name, err := rpc.DecodeMetaName(payload)
-	if err != nil {
+	var req rpc.MetaNameReq
+	if err := rpc.Decode(payload, &req); err != nil {
 		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
 	}
-	f, err := s.cfg.Store.Get(name)
+	f, err := s.cfg.Store.Get(req.Name)
 	if err != nil {
 		return s.storeErr(err)
 	}
-	return rpc.AppendMetaFileResp(nil, f)
+	return rpc.Encode(nil, rpc.MsgMetaFileResp, f)
 }
 
 func (s *Service) handleRemove(payload []byte) []byte {
-	name, err := rpc.DecodeMetaName(payload)
-	if err != nil {
+	var req rpc.MetaNameReq
+	if err := rpc.Decode(payload, &req); err != nil {
 		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
 	}
-	if err := s.cfg.Store.Remove(context.Background(), name); err != nil {
+	if err := s.cfg.Store.Remove(context.Background(), req.Name); err != nil {
 		return s.storeErr(err)
 	}
-	return rpc.AppendOK(nil)
+	return rpc.Encode(nil, rpc.MsgOK, nil)
 }
 
 func (s *Service) handleCommit(payload []byte) []byte {
-	req, err := rpc.DecodeMetaCommit(payload)
-	if err != nil {
+	var req rpc.MetaCommitReq
+	if err := rpc.Decode(payload, &req); err != nil {
 		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
 	}
-	f, err := s.cfg.Store.Commit(context.Background(), req)
+	f, err := s.cfg.Store.Commit(context.Background(), &req)
 	if err != nil {
 		return s.storeErr(err)
 	}
 	s.logf("meta commit", "file", f.Name, "epoch", f.Epoch, "store", f.StoreName, "nodes", len(f.Nodes))
-	return rpc.AppendMetaFileResp(nil, f)
+	return rpc.Encode(nil, rpc.MsgMetaFileResp, f)
 }
 
 func (s *Service) handleExtend(payload []byte) []byte {
-	req, err := rpc.DecodeMetaExtend(payload)
-	if err != nil {
+	var req rpc.MetaExtendReq
+	if err := rpc.Decode(payload, &req); err != nil {
 		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
 	}
 	if req.Length < 0 {
@@ -377,12 +393,12 @@ func (s *Service) handleExtend(payload []byte) []byte {
 	if err != nil {
 		return s.storeErr(err)
 	}
-	return rpc.AppendMetaFileResp(nil, f)
+	return rpc.Encode(nil, rpc.MsgMetaFileResp, f)
 }
 
 func (s *Service) handleNode(payload []byte) []byte {
-	req, err := rpc.DecodeMetaNodeReq(payload)
-	if err != nil {
+	var req rpc.MetaNode
+	if err := rpc.Decode(payload, &req); err != nil {
 		return s.errResp(rpc.ErrCodeBadRequest, err.Error())
 	}
 	nodes, err := s.cfg.Store.SetNode(context.Background(), req.Addr, req.State)
@@ -390,7 +406,7 @@ func (s *Service) handleNode(payload []byte) []byte {
 		return s.storeErr(err)
 	}
 	s.logf("meta node", "addr", req.Addr, "state", rpc.NodeStateName(req.State))
-	return rpc.AppendMetaNodesResp(nil, nodes)
+	return rpc.Encode(nil, rpc.MsgMetaNodesResp, &rpc.MetaNodesResp{Nodes: nodes})
 }
 
 // storeErr maps a store error onto the wire's error codes. A mutation
@@ -417,7 +433,7 @@ func (s *Service) errResp(code uint64, msg string) []byte {
 	if s.metErrors != nil {
 		s.metErrors.Inc()
 	}
-	return rpc.AppendError(nil, code, msg)
+	return rpc.Encode(nil, rpc.MsgError, &rpc.RemoteError{Code: code, Msg: msg})
 }
 
 func (s *Service) logf(msg string, args ...any) {

@@ -356,8 +356,8 @@ func (st *Store) loadSnapshot() error {
 }
 
 // decodeSnapshot parses snapshot bytes into fresh state, leaving the
-// caller's maps untouched on error. Legacy snapshots without a
-// recApplied header decode with a zero position.
+// caller's maps untouched on error. The first record is the recApplied
+// position header.
 func decodeSnapshot(data []byte) (files map[string]*rpc.MetaFile, nodes map[string]byte, nodeOrder []string, index, term uint64, err error) {
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != string(snapMagic) {
 		return nil, nil, nil, 0, 0, errors.New("bad snapshot magic")
@@ -366,24 +366,23 @@ func decodeSnapshot(data []byte) (files map[string]*rpc.MetaFile, nodes map[stri
 		files: make(map[string]*rpc.MetaFile),
 		nodes: make(map[string]byte),
 	}
-	rest := data[len(snapMagic):]
-	first := true
+	payload, rest, err := readRecord(data[len(snapMagic):])
+	if err != nil {
+		return nil, nil, nil, 0, 0, err
+	}
+	var pos appliedRec
+	if err := decodeRecord(payload, recApplied, &pos); err != nil {
+		return nil, nil, nil, 0, 0, err
+	}
 	for len(rest) > 0 {
-		payload, next, rerr := readRecord(rest)
-		if rerr != nil {
-			return nil, nil, nil, 0, 0, rerr
-		}
-		if first && len(payload) > 0 && payload[0] == recApplied {
-			if index, term, err = readApplied(payload); err != nil {
-				return nil, nil, nil, 0, 0, err
-			}
-		} else if err = tmp.apply(payload); err != nil {
+		if payload, rest, err = readRecord(rest); err != nil {
 			return nil, nil, nil, 0, 0, err
 		}
-		first = false
-		rest = next
+		if err = tmp.apply(payload); err != nil {
+			return nil, nil, nil, 0, 0, err
+		}
 	}
-	return tmp.files, tmp.nodes, tmp.nodeOrder, index, term, nil
+	return tmp.files, tmp.nodes, tmp.nodeOrder, pos.index, pos.term, nil
 }
 
 // replayLog replays meta.log to the last complete record, truncating
@@ -404,7 +403,6 @@ func (st *Store) replayLog() error {
 		return err
 	}
 	good := 0
-	sawIndexed := false
 	var maxIndex uint64
 	rest := data
 	for len(rest) > 0 {
@@ -417,42 +415,27 @@ func (st *Store) replayLog() error {
 			}
 			break
 		}
-		if len(payload) > 0 && payload[0] == recEntry {
-			idx, term, inner, eerr := readEntry(payload)
-			if eerr != nil {
-				return fmt.Errorf("meta: %s: %w", logName, eerr)
-			}
-			sawIndexed = true
-			if idx > maxIndex {
-				maxIndex = idx
-			}
-			switch {
-			case idx <= st.lastIndex:
-				// Prefix history already covered by the snapshot (or a
-				// duplicate append): replay is a no-op.
-			case idx == st.lastIndex+1:
-				if err := st.apply(inner); err != nil {
-					return fmt.Errorf("meta: %s: %w", logName, err)
-				}
-				st.setTail(idx, term)
-			default:
-				return fmt.Errorf("meta: %s: log gap: entry %d follows tail %d", logName, idx, st.lastIndex)
-			}
-		} else {
-			// Legacy unindexed record: sequential by construction.
-			if err := st.apply(payload); err != nil {
+		var e entryRec
+		if err := decodeRecord(payload, recEntry, &e); err != nil {
+			return fmt.Errorf("meta: %s: %w", logName, err)
+		}
+		maxIndex = max(maxIndex, e.index)
+		switch {
+		case e.index <= st.lastIndex:
+			// Prefix history already covered by the snapshot (or a
+			// duplicate append): replay is a no-op.
+		case e.index == st.lastIndex+1:
+			if err := st.apply(e.inner); err != nil {
 				return fmt.Errorf("meta: %s: %w", logName, err)
 			}
-			st.setTail(st.lastIndex+1, st.lastTerm)
-			if st.lastIndex > maxIndex {
-				maxIndex = st.lastIndex
-			}
-			sawIndexed = sawIndexed || st.snapIndex > 0
+			st.setTail(e.index, e.term)
+		default:
+			return fmt.Errorf("meta: %s: log gap: entry %d follows tail %d", logName, e.index, st.lastIndex)
 		}
 		good = len(data) - len(next)
 		rest = next
 	}
-	if sawIndexed && maxIndex < st.snapIndex {
+	if good > 0 && maxIndex < st.snapIndex {
 		return fmt.Errorf("%w: snapshot covers index %d, log ends at %d", ErrMisrestored, st.snapIndex, maxIndex)
 	}
 	return nil
@@ -479,95 +462,96 @@ func readRecord(buf []byte) (payload, rest []byte, err error) {
 	return payload, body[n+4:], nil
 }
 
-// entryRecord wraps an inner record in the replication envelope.
-func entryRecord(index, term uint64, inner []byte) []byte {
-	buf := binary.AppendUvarint([]byte{recEntry}, index)
-	buf = binary.AppendUvarint(buf, term)
-	return append(buf, inner...)
+// record encodes a log or snapshot record: its type byte, then body.
+func record(t byte, body codec.Message) []byte {
+	return codec.Append([]byte{t}, body)
 }
 
-// readEntry splits a recEntry payload into position and inner record.
-func readEntry(payload []byte) (index, term uint64, inner []byte, err error) {
-	rest := payload[1:]
-	idx, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return 0, 0, nil, errors.New("truncated entry index")
+// decodeRecord decodes a record that must be of type t into body.
+func decodeRecord(payload []byte, t byte, body codec.Message) error {
+	if len(payload) == 0 || payload[0] != t {
+		return fmt.Errorf("not a record of type %d", t)
 	}
-	rest = rest[w:]
-	trm, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return 0, 0, nil, errors.New("truncated entry term")
-	}
-	return idx, trm, rest[w:], nil
+	return codec.Decode(payload[1:], body)
 }
 
-// appliedRecord is the snapshot position header.
-func appliedRecord(index, term uint64) []byte {
-	buf := binary.AppendUvarint([]byte{recApplied}, index)
-	return binary.AppendUvarint(buf, term)
+// entryRec is the recEntry envelope: a log position and the inner
+// record it carries.
+type entryRec struct {
+	index, term uint64
+	inner       []byte
 }
 
-func readApplied(payload []byte) (index, term uint64, err error) {
-	rest := payload[1:]
-	idx, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return 0, 0, errors.New("truncated applied index")
-	}
-	rest = rest[w:]
-	trm, w := binary.Uvarint(rest)
-	if w <= 0 || len(rest) != w {
-		return 0, 0, errors.New("truncated applied term")
-	}
-	return idx, trm, nil
+func (r *entryRec) Wire(c *codec.Coder) {
+	c.Uvarint(&r.index)
+	c.Uvarint(&r.term)
+	c.Rest(&r.inner)
 }
 
-// apply folds one decoded record payload into the in-memory state.
+// appliedRec is the recApplied snapshot header: the log position the
+// snapshot state covers.
+type appliedRec struct {
+	index, term uint64
+}
+
+func (r *appliedRec) Wire(c *codec.Coder) {
+	c.Uvarint(&r.index)
+	c.Uvarint(&r.term)
+}
+
+// delRec is the recDel body: the name of the entry removed.
+type delRec struct {
+	name string
+}
+
+func (r *delRec) Wire(c *codec.Coder) {
+	c.String(&r.name)
+}
+
+// voteRec is the body of the vote file (before its checksum): the
+// current term and the candidate voted for in it.
+type voteRec struct {
+	term     uint64
+	votedFor string
+}
+
+func (r *voteRec) Wire(c *codec.Coder) {
+	c.Uvarint(&r.term)
+	c.String(&r.votedFor)
+}
+
+// apply folds one record payload — a put (the full file record), a
+// del or a node (the membership entry) — into the in-memory state.
 func (st *Store) apply(payload []byte) error {
 	if len(payload) == 0 {
 		return errors.New("empty record")
 	}
 	switch payload[0] {
 	case recPut:
-		f, rest, err := rpc.ReadMetaFile(payload[1:])
-		if err != nil {
+		f := new(rpc.MetaFile)
+		if err := decodeRecord(payload, recPut, f); err != nil {
 			return err
-		}
-		if len(rest) != 0 {
-			return errors.New("trailing bytes after file record")
 		}
 		st.files[f.Name] = f
 	case recDel:
-		name, err := readRecString(payload[1:])
-		if err != nil {
+		var r delRec
+		if err := decodeRecord(payload, recDel, &r); err != nil {
 			return err
 		}
-		delete(st.files, name)
+		delete(st.files, r.name)
 	case recNode:
-		if len(payload) < 2 {
-			return errors.New("short node record")
-		}
-		state := payload[len(payload)-1]
-		addr, err := readRecString(payload[1 : len(payload)-1])
-		if err != nil {
+		var n rpc.MetaNode
+		if err := decodeRecord(payload, recNode, &n); err != nil {
 			return err
 		}
-		if _, known := st.nodes[addr]; !known {
-			st.nodeOrder = append(st.nodeOrder, addr)
+		if _, known := st.nodes[n.Addr]; !known {
+			st.nodeOrder = append(st.nodeOrder, n.Addr)
 		}
-		st.nodes[addr] = state
+		st.nodes[n.Addr] = n.State
 	default:
 		return fmt.Errorf("unknown record type %d", payload[0])
 	}
 	return nil
-}
-
-// readRecString decodes one length-prefixed string occupying all of buf.
-func readRecString(buf []byte) (string, error) {
-	n, w := binary.Uvarint(buf)
-	if w <= 0 || uint64(len(buf)-w) != n {
-		return "", errors.New("bad string record")
-	}
-	return string(buf[w : w+int(n)]), nil
 }
 
 // writeFrameLocked frames, writes and fsyncs one envelope payload,
@@ -614,7 +598,7 @@ func (st *Store) appendRecord(ctx context.Context, op fault.Op, name string, pay
 	}
 	prevIndex, prevTerm := st.lastIndex, st.lastTerm
 	index, term := st.lastIndex+1, st.term
-	if err := st.writeFrameLocked(entryRecord(index, term, payload)); err != nil {
+	if err := st.writeFrameLocked(record(recEntry, &entryRec{index, term, payload})); err != nil {
 		return err
 	}
 	st.setTail(index, term)
@@ -644,21 +628,6 @@ func (st *Store) maybeSnapshot(ctx context.Context) {
 	}
 }
 
-func putRecord(f *rpc.MetaFile) []byte {
-	return rpc.AppendMetaFile([]byte{recPut}, f)
-}
-
-func delRecord(name string) []byte {
-	buf := append([]byte{recDel}, codec.AppendUvarint(nil, uint64(len(name)))...)
-	return append(buf, name...)
-}
-
-func nodeRecord(addr string, state byte) []byte {
-	buf := append([]byte{recNode}, codec.AppendUvarint(nil, uint64(len(addr)))...)
-	buf = append(buf, addr...)
-	return append(buf, state)
-}
-
 // Snapshot compacts the store: current state into meta.snap, log
 // truncated. Exposed for tests and the admin path; mutations trigger
 // it automatically past StoreConfig.SnapshotEvery.
@@ -672,17 +641,17 @@ func (st *Store) Snapshot(ctx context.Context) error {
 // magic, applied-position header, file records, node records.
 func (st *Store) serializeLocked() []byte {
 	buf := append([]byte(nil), snapMagic...)
-	buf = appendFramed(buf, appliedRecord(st.lastIndex, st.lastTerm))
+	buf = appendFramed(buf, record(recApplied, &appliedRec{st.lastIndex, st.lastTerm}))
 	names := make([]string, 0, len(st.files))
 	for name := range st.files {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		buf = appendFramed(buf, putRecord(st.files[name]))
+		buf = appendFramed(buf, record(recPut, st.files[name]))
 	}
 	for _, addr := range st.nodeOrder {
-		buf = appendFramed(buf, nodeRecord(addr, st.nodes[addr]))
+		buf = appendFramed(buf, record(recNode, &rpc.MetaNode{Addr: addr, State: st.nodes[addr]}))
 	}
 	return buf
 }
@@ -777,7 +746,7 @@ func (st *Store) AppendEntry(ctx context.Context, index, term uint64, payload []
 	if index != st.lastIndex+1 {
 		return fmt.Errorf("meta: log gap: entry %d follows tail %d", index, st.lastIndex)
 	}
-	if err := st.writeFrameLocked(entryRecord(index, term, payload)); err != nil {
+	if err := st.writeFrameLocked(record(recEntry, &entryRec{index, term, payload})); err != nil {
 		return err
 	}
 	if err := st.apply(payload); err != nil {
@@ -831,9 +800,7 @@ func appendFramed(buf, payload []byte) []byte {
 // pattern as snapshots, so a voter never forgets a granted ballot
 // across a crash.
 func (st *Store) SaveVote(term uint64, votedFor string) error {
-	buf := binary.AppendUvarint(nil, term)
-	buf = binary.AppendUvarint(buf, uint64(len(votedFor)))
-	buf = append(buf, votedFor...)
+	buf := codec.Append(nil, &voteRec{term, votedFor})
 	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, storeCastagnoli))
 	tmp := filepath.Join(st.dir, voteName+".tmp")
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
@@ -860,16 +827,11 @@ func (st *Store) LoadVote() (term uint64, votedFor string) {
 	if crc32.Checksum(body, storeCastagnoli) != sum {
 		return 0, ""
 	}
-	t, w := binary.Uvarint(body)
-	if w <= 0 {
+	var v voteRec
+	if codec.Decode(body, &v) != nil {
 		return 0, ""
 	}
-	body = body[w:]
-	n, w := binary.Uvarint(body)
-	if w <= 0 || uint64(len(body)-w) != n {
-		return 0, ""
-	}
-	return t, string(body[w:])
+	return v.term, v.votedFor
 }
 
 // cloneFile deep-copies a record so callers cannot alias store state.
@@ -915,7 +877,7 @@ func (st *Store) Create(ctx context.Context, f *rpc.MetaFile) error {
 	if floor := st.epochFloorLocked(); f.Epoch < floor {
 		f.Epoch = floor
 	}
-	err := st.appendRecord(ctx, fault.OpMetaAppend, f.Name, putRecord(f))
+	err := st.appendRecord(ctx, fault.OpMetaAppend, f.Name, record(recPut, f))
 	if err != nil && !errors.Is(err, ErrNotCommitted) {
 		return err
 	}
@@ -933,7 +895,7 @@ func (st *Store) Remove(ctx context.Context, name string) error {
 	if _, ok := st.files[name]; !ok {
 		return nil
 	}
-	err := st.appendRecord(ctx, fault.OpMetaAppend, name, delRecord(name))
+	err := st.appendRecord(ctx, fault.OpMetaAppend, name, record(recDel, &delRec{name}))
 	if err != nil && !errors.Is(err, ErrNotCommitted) {
 		return err
 	}
@@ -984,7 +946,7 @@ func (st *Store) Commit(ctx context.Context, req *rpc.MetaCommitReq) (*rpc.MetaF
 	next.StoreName = req.StoreName
 	next.Nodes = append([]string(nil), req.Nodes...)
 	next.Assign = append([]int(nil), req.Assign...)
-	err := st.appendRecord(ctx, fault.OpMetaAppend, req.Name, putRecord(next))
+	err := st.appendRecord(ctx, fault.OpMetaAppend, req.Name, record(recPut, next))
 	if err != nil && !errors.Is(err, ErrNotCommitted) {
 		return nil, err
 	}
@@ -1007,7 +969,7 @@ func (st *Store) Extend(ctx context.Context, name string, length int64) (*rpc.Me
 	if length > f.Length {
 		next := cloneFile(f)
 		next.Length = length
-		err := st.appendRecord(ctx, fault.OpMetaAppend, name, putRecord(next))
+		err := st.appendRecord(ctx, fault.OpMetaAppend, name, record(recPut, next))
 		if err != nil && !errors.Is(err, ErrNotCommitted) {
 			return nil, err
 		}
@@ -1076,7 +1038,7 @@ func (st *Store) SetNode(ctx context.Context, addr string, state byte) ([]rpc.Me
 			}
 		}
 	}
-	err := st.appendRecord(ctx, fault.OpMetaAppend, addr, nodeRecord(addr, state))
+	err := st.appendRecord(ctx, fault.OpMetaAppend, addr, record(recNode, &rpc.MetaNode{Addr: addr, State: state}))
 	if err != nil && !errors.Is(err, ErrNotCommitted) {
 		return nil, err
 	}

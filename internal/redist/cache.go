@@ -2,6 +2,7 @@ package redist
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -245,8 +246,8 @@ func (c *PairCache) Instrument(reg *obs.Registry) {
 }
 
 func pairKey(f1 *part.File, e1 int, f2 *part.File, e2 int) string {
-	buf := codec.AppendUvarint(nil, uint64(e1))
-	buf = codec.AppendUvarint(buf, uint64(e2))
+	buf := binary.AppendUvarint(nil, uint64(e1))
+	buf = binary.AppendUvarint(buf, uint64(e2))
 	return string(buf) + Fingerprint(f1, f2)
 }
 

@@ -8,42 +8,27 @@ import (
 
 // wire.go is the projection wire format: the encoding Clusterfile uses
 // to ship PROJ_S to the I/O nodes at view-set time (§8.1). It is built
-// on the codec primitives and byte-compatible with the format the
-// codec package historically produced; it lives here (rather than in
-// codec) so that codec stays free of redist types and the plan cache
-// can use codec.EncodeFile as its fingerprint without an import cycle.
+// on the codec coder; it lives here (rather than in codec) so that
+// codec stays free of redist types and the plan cache can use
+// codec.EncodeFile as its fingerprint without an import cycle.
 
-// EncodeProjection encodes a projection (set, period, bytes).
-func EncodeProjection(p *Projection) []byte {
-	buf := codec.AppendUvarint(nil, codec.Version)
-	buf = codec.AppendVarint(buf, p.Period)
-	buf = codec.AppendVarint(buf, p.Bytes)
-	buf = codec.AppendSet(buf, p.Set)
-	return buf
+// Wire codes a projection: version, period, bytes, set.
+func (p *Projection) Wire(c *codec.Coder) {
+	codec.VersionTag(c)
+	c.Varint(&p.Period)
+	c.Varint(&p.Bytes)
+	codec.SetWire(c, &p.Set)
 }
 
+// EncodeProjection encodes a projection.
+func EncodeProjection(p *Projection) []byte { return codec.Append(nil, p) }
+
 // DecodeProjection decodes a projection; the whole buffer must be
-// consumed.
+// consumed and the set must select the declared bytes.
 func DecodeProjection(buf []byte) (*Projection, error) {
-	v, buf, err := codec.ReadUvarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	if v != codec.Version {
-		return nil, fmt.Errorf("%w: unknown version %d", codec.ErrCorrupt, v)
-	}
 	p := &Projection{}
-	if p.Period, buf, err = codec.ReadVarint(buf); err != nil {
+	if err := codec.Decode(buf, p); err != nil {
 		return nil, err
-	}
-	if p.Bytes, buf, err = codec.ReadVarint(buf); err != nil {
-		return nil, err
-	}
-	if p.Set, buf, err = codec.DecodeSet(buf); err != nil {
-		return nil, err
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", codec.ErrCorrupt, len(buf))
 	}
 	if p.Set.Size() != p.Bytes {
 		return nil, fmt.Errorf("%w: set size %d != declared bytes %d",

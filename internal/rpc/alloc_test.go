@@ -20,12 +20,13 @@ func TestDataPathAllocs(t *testing.T) {
 	ws := &WriteSegsReq{File: "matrix", Subfile: 3, Fingerprint: 77, Lo: 128, Hi: 1<<20 + 127, Data: make([]byte, 1<<20), Epoch: 9}
 	rs := &ReadSegsReq{File: "matrix", Subfile: 3, Fingerprint: 77, Lo: 128, Hi: 1<<20 + 127, N: 1 << 20, Epoch: 9}
 	buf := make([]byte, 0, 4096)
-	plain := frameBody(frameHdr{sid: 300, trace: 1 << 40, span: 7}, AppendOK(nil))
-	traced := frameBody(frameHdr{sid: 300, trace: 1 << 40, span: 7, spans: spans}, AppendOK(nil))
+	plain := frameBody(frameHdr{sid: 300, trace: 1 << 40, span: 7}, Encode(nil, MsgOK, nil))
+	traced := frameBody(frameHdr{sid: 300, trace: 1 << 40, span: 7, spans: spans}, Encode(nil, MsgOK, nil))
 	wsMsg := AppendWriteSegs(nil, ws)
-	rsMsg := AppendReadSegs(nil, rs)
-	dataMsg := AppendData(nil, make([]byte, 1<<20))
-	errMsg := AppendErrorLeader(nil, ErrCodeOverloaded, "queue full", 20e6, "")
+	rsMsg := appendReadSegs(nil, rs)
+	dataMsg := Encode(nil, MsgData, &dataResp{Data: make([]byte, 1<<20)})
+	overload := &RemoteError{Code: ErrCodeOverloaded, Msg: "queue full", RetryAfter: 20e6}
+	errMsg := appendError(nil, overload)
 	cases := []struct {
 		name string
 		want float64
@@ -43,21 +44,23 @@ func TestDataPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"read_segments encode", 0, func() { AppendReadSegs(buf[:0], rs) }},
+		{"read_segments encode", 0, func() { appendReadSegs(buf[:0], rs) }},
 		{"read_segments decode", 2, func() {
-			if _, err := DecodeReadSegs(rsMsg[1:]); err != nil {
+			if _, err := decodeReadSegs(rsMsg[1:]); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"data head encode", 0, func() { appendDataHead(buf[:0], 1<<20) }},
 		{"data decode", 0, func() {
-			if _, err := DecodeData(dataMsg[1:]); err != nil {
+			if _, err := decodeData(dataMsg[1:]); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"error encode", 0, func() { AppendErrorLeader(buf[:0], ErrCodeOverloaded, "queue full", 20e6, "") }},
+		{"error encode", 0, func() {
+			appendError(buf[:0], &RemoteError{Code: ErrCodeOverloaded, Msg: "queue full", RetryAfter: 20e6})
+		}},
 		{"error decode", 2, func() {
-			if _, err := DecodeError(errMsg[1:]); err != nil {
+			if _, err := decodeError(errMsg[1:]); err != nil {
 				t.Fatal(err)
 			}
 		}},

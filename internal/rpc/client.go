@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parafile/internal/codec"
 	"parafile/internal/obs"
 	"parafile/internal/qos"
 	"parafile/internal/redist"
@@ -356,7 +357,7 @@ func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 // caller's retry loop handles it like any connection error; a refusal
 // (a daemon of another protocol generation) is a RemoteError and final.
 func (c *Client) hello(ctx context.Context, conn net.Conn) error {
-	req := AppendHello(getFrameBuf(32), MaxProtoVersion, c.cfg.Tenant)
+	req := Encode(getFrameBuf(32), MsgHello, &hello{Ver: MaxProtoVersion, Tenant: c.cfg.Tenant})
 	defer putFrameBuf(req)
 	if err := conn.SetWriteDeadline(deadline(ctx, c.cfg.WriteTimeout)); err != nil {
 		return err
@@ -414,7 +415,7 @@ func deadline(ctx context.Context, d time.Duration) time.Time {
 // ping is one unretried Ping exchange, used directly by Ping and as
 // the breaker's half-open probe.
 func (c *Client) ping(ctx context.Context) error {
-	req := AppendPing(getFrameBuf(8))
+	req := Encode(getFrameBuf(8), MsgPing, nil)
 	defer putFrameBuf(req)
 	f, err := c.muxExchange(ctx, req)
 	if err != nil {
@@ -646,7 +647,7 @@ func (c *Client) exchangeOnce(ctx context.Context, req ...[]byte) (respFrame, er
 		return respFrame{}, err
 	}
 	if f.msgType == MsgError {
-		re, derr := DecodeError(f.payload)
+		re, derr := decodeError(f.payload)
 		ReleaseFrame(f.body)
 		if derr != nil {
 			return respFrame{}, derr
@@ -660,7 +661,7 @@ func (c *Client) exchangeOnce(ctx context.Context, req ...[]byte) (respFrame, er
 // and returns its payload.
 func parseResp(f respFrame, want byte) ([]byte, error) {
 	if f.msgType == MsgError {
-		re, err := DecodeError(f.payload)
+		re, err := decodeError(f.payload)
 		if err != nil {
 			return nil, err
 		}
@@ -672,27 +673,44 @@ func parseResp(f respFrame, want byte) ([]byte, error) {
 	return f.payload, nil
 }
 
-// exchange is call + parse + release (of the encoded first part) for
-// requests with empty OK responses.
-func (c *Client) exchange(ctx context.Context, req ...[]byte) error {
-	f, err := c.call(ctx, req...)
-	putFrameBuf(req[0])
+// roundTrip sends a message of type t with body req and decodes the
+// reply, which must be of type want, into resp; nil bodies stand for
+// bodiless messages.
+func (c *Client) roundTrip(ctx context.Context, t byte, req codec.Message, want byte, resp codec.Message) error {
+	body := Encode(getFrameBuf(64), t, req)
+	f, err := c.call(ctx, body)
+	putFrameBuf(body)
 	if err != nil {
 		return err
 	}
 	defer ReleaseFrame(f.body)
-	_, err = parseResp(f, MsgOK)
-	return err
+	payload, err := parseResp(f, want)
+	if err != nil {
+		return err
+	}
+	return Decode(payload, resp)
+}
+
+// request is roundTrip for a reply with a body of type R.
+func request[R any, P interface {
+	*R
+	codec.Message
+}](ctx context.Context, c *Client, t byte, req codec.Message, want byte) (*R, error) {
+	resp := P(new(R))
+	if err := c.roundTrip(ctx, t, req, want, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // CreateFile opens the request's subfile stores on the node.
 func (c *Client) CreateFile(ctx context.Context, req *CreateFileReq) error {
-	return c.exchange(ctx, AppendCreateFile(getFrameBuf(64), req))
+	return c.roundTrip(ctx, MsgCreateFile, req, MsgOK, nil)
 }
 
 // SetView registers an encoded projection under its fingerprint.
 func (c *Client) SetView(ctx context.Context, fp uint64, proj []byte) error {
-	err := c.exchange(ctx, AppendSetView(getFrameBuf(64), &SetViewReq{Fingerprint: fp, Proj: proj}))
+	err := c.roundTrip(ctx, MsgSetView, &SetViewReq{Fingerprint: fp, Proj: proj}, MsgOK, nil)
 	if err == nil {
 		c.registered.Store(fp, struct{}{})
 	}
@@ -762,7 +780,7 @@ func (c *Client) readSegments(ctx context.Context, req *ReadSegsReq, proj *redis
 		return eachPiece(ctx, pieces, func(ctx context.Context, p piece) error {
 			sub := *req
 			sub.Lo, sub.Hi, sub.N = p.lo, p.hi, p.n
-			head := AppendReadSegs(getFrameBuf(64), &sub)
+			head := appendReadSegs(getFrameBuf(64), &sub)
 			f, err := c.exchangeOnce(ctx, head)
 			putFrameBuf(head)
 			if err != nil {
@@ -773,7 +791,7 @@ func (c *Client) readSegments(ctx context.Context, req *ReadSegsReq, proj *redis
 			if err != nil {
 				return err
 			}
-			data, err := DecodeData(payload)
+			data, err := decodeData(payload)
 			if err != nil {
 				return err
 			}
@@ -799,40 +817,26 @@ func (c *Client) cut(fp uint64, proj *redist.Projection, lo, hi, n int64) ([]pie
 
 // Stat returns the subfile's current length.
 func (c *Client) Stat(ctx context.Context, file string, subfile int64) (int64, error) {
-	reqBuf := AppendStat(getFrameBuf(64), &StatReq{File: file, Subfile: subfile})
-	f, err := c.call(ctx, reqBuf)
-	putFrameBuf(reqBuf)
+	r, err := request[statResp](ctx, c, MsgStat, &StatReq{File: file, Subfile: subfile}, MsgStatResp)
 	if err != nil {
 		return 0, err
 	}
-	defer ReleaseFrame(f.body)
-	payload, err := parseResp(f, MsgStatResp)
-	if err != nil {
-		return 0, err
-	}
-	return DecodeStatResp(payload)
+	return r.Len, nil
 }
 
 // Checksum returns the CRC32C of subfile bytes [off, off+n); bytes
 // beyond the subfile's length count as zeroes.
 func (c *Client) Checksum(ctx context.Context, file string, subfile, off, n int64) (uint32, error) {
-	reqBuf := AppendChecksum(getFrameBuf(64), &ChecksumReq{File: file, Subfile: subfile, Off: off, N: n})
-	f, err := c.call(ctx, reqBuf)
-	putFrameBuf(reqBuf)
+	r, err := request[checksumResp](ctx, c, MsgChecksum, &ChecksumReq{File: file, Subfile: subfile, Off: off, N: n}, MsgChecksumResp)
 	if err != nil {
 		return 0, err
 	}
-	defer ReleaseFrame(f.body)
-	payload, err := parseResp(f, MsgChecksumResp)
-	if err != nil {
-		return 0, err
-	}
-	return DecodeChecksumResp(payload)
+	return r.Sum, nil
 }
 
 // CloseFile syncs and closes the file's stores on the node.
 func (c *Client) CloseFile(ctx context.Context, file string) error {
-	return c.exchange(ctx, AppendClose(getFrameBuf(64), &CloseReq{File: file}))
+	return c.roundTrip(ctx, MsgClose, &CloseReq{File: file}, MsgOK, nil)
 }
 
 // RemoveStore closes the file's stores on the node and deletes their
@@ -840,7 +844,7 @@ func (c *Client) CloseFile(ctx context.Context, file string) error {
 // GC of a superseded store generation. Unknown files answer OK, so
 // the sweep is idempotent across retries and half-done passes.
 func (c *Client) RemoveStore(ctx context.Context, file string) error {
-	return c.exchange(ctx, AppendClose(getFrameBuf(64), &CloseReq{File: file, Remove: true}))
+	return c.roundTrip(ctx, MsgClose, &CloseReq{File: file, Remove: true}, MsgOK, nil)
 }
 
 // SetEpoch ratchets the placement epoch of the file's stores on the
@@ -849,5 +853,5 @@ func (c *Client) RemoveStore(ctx context.Context, file string) error {
 // holding no store of the file answers OK: the flip is idempotent
 // across the fan-out.
 func (c *Client) SetEpoch(ctx context.Context, file string, epoch uint64, fence bool) error {
-	return c.exchange(ctx, AppendEpoch(getFrameBuf(64), &EpochReq{File: file, Epoch: epoch, Fence: fence}))
+	return c.roundTrip(ctx, MsgEpoch, &EpochReq{File: file, Epoch: epoch, Fence: fence}, MsgOK, nil)
 }

@@ -225,7 +225,7 @@ func TestServerRejectsGarbageFrames(t *testing.T) {
 	// After the preface, a message of an unknown type: the server
 	// answers on the request's stream with a bad-request error instead
 	// of dropping the connection or panicking.
-	if err := WriteFrameV(conn, AppendHello(nil, MaxProtoVersion, ""), MaxProtoVersion); err != nil {
+	if err := WriteFrameV(conn, Encode(nil, MsgHello, &hello{Ver: MaxProtoVersion}), MaxProtoVersion); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := ReadFrame(conn, 0)
@@ -251,8 +251,8 @@ func TestServerRejectsGarbageFrames(t *testing.T) {
 	if msgType != MsgError {
 		t.Fatalf("response type %#x, want error", msgType)
 	}
-	re, err := DecodeError(payload)
-	if err != nil {
+	re := &RemoteError{}
+	if err := Decode(payload, re); err != nil {
 		t.Fatal(err)
 	}
 	if re.Code != ErrCodeBadRequest {

@@ -25,7 +25,7 @@ type handler func(tenant string, h frameHdr, msgType byte, payload []byte) (repl
 
 // Handler answers one request of a daemon that does not trace:
 // tenant is the class the connection's preface named, the result a
-// reply message built by an Append* encoder.
+// reply message built by Encode.
 type Handler func(tenant string, msgType byte, payload []byte) []byte
 
 // ServeConn runs the protocol's connection loop on an accepted
@@ -91,18 +91,19 @@ func (sc *srvConn) preface() bool {
 	if err == nil && msgType != MsgHello {
 		err = fmt.Errorf("connection opened with %s, want the hello preface", MsgName(msgType))
 	}
-	var ver byte
+	var hl hello
 	if err == nil {
-		ver, sc.tenant, err = DecodeHello(payload)
+		err = Decode(payload, &hl)
+		sc.tenant = hl.Tenant
 	}
-	if err == nil && ver != MaxProtoVersion {
-		err = fmt.Errorf("protocol version %d, want %d", ver, MaxProtoVersion)
+	if err == nil && hl.Ver != MaxProtoVersion {
+		err = fmt.Errorf("protocol version %d, want %d", hl.Ver, MaxProtoVersion)
 	}
 	reply := getFrameBuf(64)
 	if err != nil {
-		reply = AppendError(reply, ErrCodeBadRequest, err.Error())
+		reply = appendError(reply, &RemoteError{Code: ErrCodeBadRequest, Msg: err.Error()})
 	} else {
-		reply = AppendOK(reply)
+		reply = Encode(reply, MsgOK, nil)
 	}
 	sendErr := sc.send(&frameHdr{sid: h.sid}, reply)
 	putFrameBuf(reply)

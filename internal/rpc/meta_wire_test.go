@@ -3,9 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
@@ -17,187 +15,15 @@ import (
 // epoch/fence protocol against a live daemon, and the transport's
 // placement-refresh connection retirement.
 
-func randMetaFile(rng *rand.Rand) *MetaFile {
-	n := 1 + rng.Intn(5)
-	nodes := make([]string, n)
-	assign := make([]int, 1+rng.Intn(6))
-	for i := range nodes {
-		nodes[i] = randString(rng, 24)
-	}
-	for i := range assign {
-		assign[i] = rng.Intn(n)
-	}
-	return &MetaFile{
-		Name:        randString(rng, 32),
-		StripeBytes: rng.Int63n(1 << 20),
-		Replication: 1 + rng.Intn(3),
-		Epoch:       rng.Uint64() >> 8,
-		Length:      rng.Int63(),
-		StoreName:   randString(rng, 32),
-		Nodes:       nodes,
-		Assign:      assign,
-	}
-}
-
-func TestMetaFileRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 200; i++ {
-		f := randMetaFile(rng)
-		enc := AppendMetaFile(nil, f)
-		got, rest, err := ReadMetaFile(enc)
-		if err != nil {
-			t.Fatalf("ReadMetaFile: %v", err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("%d trailing bytes", len(rest))
-		}
-		if !reflect.DeepEqual(f, got) {
-			t.Fatalf("round-trip mismatch:\nin  %+v\nout %+v", f, got)
-		}
-		// Every truncation must fail cleanly, never panic or misparse.
-		for cut := 0; cut < len(enc); cut++ {
-			if _, _, err := ReadMetaFile(enc[:cut]); err == nil {
-				t.Fatalf("truncation at %d/%d parsed", cut, len(enc))
-			}
-		}
-	}
-}
+func TestMetaFileRoundTrip(t *testing.T) { checkRoundTrips(t, MsgMetaFileResp) }
 
 func TestMetaMessageRoundTrips(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 100; i++ {
-		cases := []struct {
-			name string
-			typ  byte
-			enc  []byte
-			dec  func(payload []byte) (any, error)
-			want any
-		}{
-			{
-				name: "create", typ: MsgMetaCreate,
-				want: &MetaCreateReq{Name: randString(rng, 32), StripeBytes: rng.Int63n(1 << 20), Replication: rng.Intn(4)},
-				dec:  func(p []byte) (any, error) { return DecodeMetaCreate(p) },
-			},
-			{
-				name: "open", typ: MsgMetaOpen,
-				want: randString(rng, 40),
-				dec:  func(p []byte) (any, error) { return DecodeMetaName(p) },
-			},
-			{
-				name: "commit", typ: MsgMetaCommit,
-				want: &MetaCommitReq{
-					Name: randString(rng, 24), OldEpoch: rng.Uint64() >> 8,
-					StoreName: randString(rng, 24),
-					Nodes:     []string{randString(rng, 16), randString(rng, 16)},
-					Assign:    []int{rng.Intn(2), rng.Intn(2), rng.Intn(2)},
-				},
-				dec: func(p []byte) (any, error) { return DecodeMetaCommit(p) },
-			},
-			{
-				name: "extend", typ: MsgMetaExtend,
-				want: &MetaExtendReq{Name: randString(rng, 24), Length: rng.Int63()},
-				dec:  func(p []byte) (any, error) { return DecodeMetaExtend(p) },
-			},
-			{
-				name: "node", typ: MsgMetaNode,
-				want: &MetaNode{Addr: randString(rng, 24), State: byte(rng.Intn(3))},
-				dec: func(p []byte) (any, error) {
-					n, err := DecodeMetaNodeReq(p)
-					if err != nil {
-						return nil, err
-					}
-					return &MetaNode{Addr: n.Addr, State: n.State}, nil
-				},
-			},
-			{
-				name: "epoch", typ: MsgEpoch,
-				want: &EpochReq{File: randString(rng, 24), Epoch: 1 + rng.Uint64()>>8, Fence: rng.Intn(2) == 1},
-				dec:  func(p []byte) (any, error) { return DecodeEpoch(p) },
-			},
-		}
-		for c := range cases {
-			tc := &cases[c]
-			switch w := tc.want.(type) {
-			case *MetaCreateReq:
-				tc.enc = AppendMetaCreate(nil, w)
-			case string:
-				tc.enc = AppendMetaName(nil, tc.typ, w)
-			case *MetaCommitReq:
-				tc.enc = AppendMetaCommit(nil, w)
-			case *MetaExtendReq:
-				tc.enc = AppendMetaExtend(nil, w)
-			case *MetaNode:
-				tc.enc = AppendMetaNodeReq(nil, w)
-			case *EpochReq:
-				tc.enc = AppendEpoch(nil, w)
-			}
-			typ, payload, err := ParseFrame(frameBody(frameHdr{}, tc.enc))
-			if err != nil {
-				t.Fatalf("%s: ParseFrame: %v", tc.name, err)
-			}
-			if typ != tc.typ {
-				t.Fatalf("%s: frame type %#x, want %#x", tc.name, typ, tc.typ)
-			}
-			got, err := tc.dec(payload)
-			if err != nil {
-				t.Fatalf("%s: decode: %v", tc.name, err)
-			}
-			if !reflect.DeepEqual(tc.want, got) {
-				t.Fatalf("%s round-trip mismatch:\nin  %+v\nout %+v", tc.name, tc.want, got)
-			}
-			for cut := 0; cut < len(payload); cut++ {
-				if _, err := tc.dec(payload[:cut]); err == nil {
-					t.Fatalf("%s: truncation at %d/%d parsed", tc.name, cut, len(payload))
-				}
-			}
-		}
-	}
+	checkRoundTrips(t, MsgMetaCreate, MsgMetaOpen, MsgMetaRemove, MsgMetaCommit, MsgMetaExtend,
+		MsgMetaNode, MsgEpoch, MsgMetaList, MsgMetaNodes)
 }
 
 func TestMetaRespRoundTrips(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	files := []*MetaFile{randMetaFile(rng), randMetaFile(rng), randMetaFile(rng)}
-
-	// File resp.
-	body := AppendMetaFileResp(nil, files[0])
-	typ, payload, err := ParseFrame(frameBody(frameHdr{}, body))
-	if err != nil || typ != MsgMetaFileResp {
-		t.Fatalf("file resp frame: %#x, %v", typ, err)
-	}
-	got, err := DecodeMetaFileResp(payload)
-	if err != nil || !reflect.DeepEqual(files[0], got) {
-		t.Fatalf("file resp round-trip: %+v, %v", got, err)
-	}
-
-	// List resp, including empty.
-	for _, set := range [][]*MetaFile{files, nil} {
-		body = AppendMetaListResp(nil, set)
-		typ, payload, err = ParseFrame(frameBody(frameHdr{}, body))
-		if err != nil || typ != MsgMetaListResp {
-			t.Fatalf("list resp frame: %#x, %v", typ, err)
-		}
-		gotList, err := DecodeMetaListResp(payload)
-		if err != nil || len(gotList) != len(set) {
-			t.Fatalf("list resp: %d files, %v", len(gotList), err)
-		}
-		for i := range set {
-			if !reflect.DeepEqual(set[i], gotList[i]) {
-				t.Fatalf("list resp entry %d mismatch", i)
-			}
-		}
-	}
-
-	// Nodes resp.
-	nodes := []MetaNode{{Addr: "a:1", State: NodeActive}, {Addr: "b:2", State: NodeDraining}}
-	body = AppendMetaNodesResp(nil, nodes)
-	typ, payload, err = ParseFrame(frameBody(frameHdr{}, body))
-	if err != nil || typ != MsgMetaNodesResp {
-		t.Fatalf("nodes resp frame: %#x, %v", typ, err)
-	}
-	gotNodes, err := DecodeMetaNodesResp(payload)
-	if err != nil || !reflect.DeepEqual(nodes, gotNodes) {
-		t.Fatalf("nodes resp round-trip: %+v, %v", gotNodes, err)
-	}
+	checkRoundTrips(t, MsgMetaFileResp, MsgMetaListResp, MsgMetaNodesResp)
 }
 
 // startTestDaemon runs an in-memory daemon on loopback.

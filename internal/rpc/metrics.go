@@ -65,13 +65,14 @@ const (
 	MetricBreakerFastFails = "parafile_rpc_breaker_fastfails_total"
 )
 
-// reqTypes are the request message types with per-type volume series.
-var reqTypes = []byte{MsgCreateFile, MsgSetView, MsgWriteSegs, MsgReadSegs, MsgStat, MsgClose, MsgPing, MsgChecksum, MsgEpoch, MsgMetaCreate, MsgMetaOpen, MsgMetaList, MsgMetaRemove, MsgMetaCommit, MsgMetaExtend, MsgMetaNodes, MsgMetaNode}
-
+// bindPerType binds one volume series per request type of the message
+// table.
 func bindPerType(reg *obs.Registry, name string) map[byte]*obs.Counter {
-	m := make(map[byte]*obs.Counter, len(reqTypes))
-	for _, t := range reqTypes {
-		m[t] = reg.Counter(fmt.Sprintf(`%s{type="%s"}`, name, MsgName(t)))
+	m := make(map[byte]*obs.Counter)
+	for t, spec := range msgs {
+		if spec.req {
+			m[byte(t)] = reg.Counter(fmt.Sprintf(`%s{type="%s"}`, name, spec.name))
+		}
 	}
 	return m
 }

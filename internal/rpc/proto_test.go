@@ -21,7 +21,7 @@ import (
 // the scrub path rides on.
 
 func TestFrameRoundTrip(t *testing.T) {
-	msg := AppendStat(nil, &StatReq{File: "f", Subfile: 3})
+	msg := Encode(nil, MsgStat, &StatReq{File: "f", Subfile: 3})
 	var buf bytes.Buffer
 	if err := WriteFrameV(&buf, msg, MaxProtoVersion); err != nil {
 		t.Fatal(err)
@@ -40,8 +40,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if msgType != MsgStat {
 		t.Fatalf("type %#x, want MsgStat", msgType)
 	}
-	req, err := DecodeStat(payload)
-	if err != nil {
+	req := &StatReq{}
+	if err := Decode(payload, req); err != nil {
 		t.Fatal(err)
 	}
 	if req.File != "f" || req.Subfile != 3 {
@@ -50,7 +50,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameDetectsCorruption(t *testing.T) {
-	msg := AppendStat(nil, &StatReq{File: "file-name", Subfile: 1})
+	msg := Encode(nil, MsgStat, &StatReq{File: "file-name", Subfile: 1})
 	var clean bytes.Buffer
 	if err := WriteFrameV(&clean, msg, MaxProtoVersion); err != nil {
 		t.Fatal(err)
@@ -136,27 +136,27 @@ func TestHelloPrefaceOtherVersionRefused(t *testing.T) {
 	addr, _ := startServer(t, ServerConfig{})
 	for name, write := range map[string]func(net.Conn) error{
 		"hello names another version": func(conn net.Conn) error {
-			return WriteFrameV(conn, AppendHello(nil, MaxProtoVersion+1, ""), MaxProtoVersion)
+			return WriteFrameV(conn, Encode(nil, MsgHello, &hello{Ver: MaxProtoVersion + 1}), MaxProtoVersion)
 		},
 		"frame of another version": func(conn net.Conn) error {
-			return WriteFrameV(conn, AppendHello(nil, MaxProtoVersion-1, ""), MaxProtoVersion-1)
+			return WriteFrameV(conn, Encode(nil, MsgHello, &hello{Ver: MaxProtoVersion - 1}), MaxProtoVersion-1)
 		},
 		"no preface at all": func(conn net.Conn) error {
-			return WriteFrameV(conn, AppendPing(nil), MaxProtoVersion)
+			return WriteFrameV(conn, Encode(nil, MsgPing, nil), MaxProtoVersion)
 		},
 	} {
 		msgType, payload := helloExchange(t, addr, write)
 		if msgType != MsgError {
 			t.Fatalf("%s: answered with type %#x, want MsgError", name, msgType)
 		}
-		re, err := DecodeError(payload)
-		if err != nil || re.Code != ErrCodeBadRequest {
+		re := &RemoteError{}
+		if err := Decode(payload, re); err != nil || re.Code != ErrCodeBadRequest {
 			t.Fatalf("%s: got (%+v, %v), want a bad-request error", name, re, err)
 		}
 	}
 	// And the matching preface is accepted.
 	if msgType, _ := helloExchange(t, addr, func(conn net.Conn) error {
-		return WriteFrameV(conn, AppendHello(nil, MaxProtoVersion, "gold"), MaxProtoVersion)
+		return WriteFrameV(conn, Encode(nil, MsgHello, &hello{Ver: MaxProtoVersion, Tenant: "gold"}), MaxProtoVersion)
 	}); msgType != MsgOK {
 		t.Fatalf("matching preface answered with type %#x, want MsgOK", msgType)
 	}
@@ -179,7 +179,7 @@ func TestClientRefusedByOtherVersionDaemon(t *testing.T) {
 			}
 			if body, err := ReadFrame(conn, 0); err == nil {
 				ReleaseFrame(body)
-				WriteFrameV(conn, AppendError(nil, ErrCodeBadRequest, "protocol version 4, want 9"), MaxProtoVersion)
+				WriteFrameV(conn, Encode(nil, MsgError, &RemoteError{Code: ErrCodeBadRequest, Msg: "protocol version 4, want 9"}), MaxProtoVersion)
 			}
 			conn.Close()
 		}

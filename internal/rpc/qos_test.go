@@ -38,18 +38,18 @@ func shedLimiter(t *testing.T) *qos.Limiter {
 
 func TestHelloTenantRoundTrip(t *testing.T) {
 	for _, want := range []string{"", "gold"} {
-		ver, tenant, err := DecodeHello(roundTrip(t, AppendHello(nil, MaxProtoVersion, want), MsgHello))
-		if err != nil {
+		var got hello
+		if err := Decode(roundTripFrame(t, Encode(nil, MsgHello, &hello{Ver: MaxProtoVersion, Tenant: want}), MsgHello), &got); err != nil {
 			t.Fatal(err)
 		}
-		if ver != MaxProtoVersion || tenant != want {
-			t.Fatalf("decoded (ver=%d tenant=%q), want (%d, %q)", ver, tenant, MaxProtoVersion, want)
+		if got.Ver != MaxProtoVersion || got.Tenant != want {
+			t.Fatalf("decoded (ver=%d tenant=%q), want (%d, %q)", got.Ver, got.Tenant, MaxProtoVersion, want)
 		}
 	}
 	// A preface cut short anywhere is corrupt, never a default tenant.
-	payload := roundTrip(t, AppendHello(nil, MaxProtoVersion, "gold"), MsgHello)
+	payload := roundTripFrame(t, Encode(nil, MsgHello, &hello{Ver: MaxProtoVersion, Tenant: "gold"}), MsgHello)
 	for cut := 0; cut < len(payload); cut++ {
-		if _, _, err := DecodeHello(payload[:cut]); !errors.Is(err, ErrCorrupt) {
+		if err := Decode(payload[:cut], &hello{}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("hello truncated at %d/%d: %v", cut, len(payload), err)
 		}
 	}
@@ -64,9 +64,9 @@ func TestErrorRetryAfterRoundTrip(t *testing.T) {
 		{3 * time.Second, 3 * time.Second},
 		{100 * time.Microsecond, time.Millisecond}, // sub-ms rounds up
 	} {
-		msg := AppendErrorLeader(nil, ErrCodeOverloaded, "shed", tc.in, "")
-		re, err := DecodeError(roundTrip(t, msg, MsgError))
-		if err != nil {
+		msg := Encode(nil, MsgError, &RemoteError{Code: ErrCodeOverloaded, Msg: "shed", RetryAfter: tc.in})
+		re := &RemoteError{}
+		if err := Decode(roundTripFrame(t, msg, MsgError), re); err != nil {
 			t.Fatal(err)
 		}
 		if re.Code != ErrCodeOverloaded || re.RetryAfter != tc.want {
@@ -79,22 +79,22 @@ func TestErrorRetryAfterRoundTrip(t *testing.T) {
 }
 
 func TestCloseRemoveRoundTrip(t *testing.T) {
-	keep := AppendClose(nil, &CloseReq{File: "f"})
+	keep := Encode(nil, MsgClose, &CloseReq{File: "f"})
 	_, payload, err := ParseFrame(frameBody(frameHdr{}, keep))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := DecodeClose(payload)
-	if err != nil || req.File != "f" || req.Remove {
+	req := &CloseReq{}
+	if err := Decode(payload, req); err != nil || req.File != "f" || req.Remove {
 		t.Fatalf("decoded %+v err %v", req, err)
 	}
 
-	rm := AppendClose(nil, &CloseReq{File: "f", Remove: true})
+	rm := Encode(nil, MsgClose, &CloseReq{File: "f", Remove: true})
 	if bytes.Equal(keep, rm) {
 		t.Fatal("Remove flag did not change the encoding")
 	}
 	_, payload, _ = ParseFrame(frameBody(frameHdr{}, rm))
-	if req, err = DecodeClose(payload); err != nil || !req.Remove {
+	if err := Decode(payload, req); err != nil || !req.Remove {
 		t.Fatalf("decoded %+v err %v", req, err)
 	}
 }

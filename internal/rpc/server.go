@@ -175,6 +175,17 @@ func isReplicaStoreOf(name, base string) bool {
 	return true
 }
 
+// CheckFileName refuses a file name a daemon must not open stores
+// under: a data directory store is the file "<name>.subfileNN" inside
+// it, so an empty name, "." or "..", or a name holding a path
+// separator or NUL would put it elsewhere.
+func CheckFileName(name string) error {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/\\\x00") {
+		return fmt.Errorf("bad file name %q", name)
+	}
+	return nil
+}
+
 // overloaded turns an admission refusal into its answer: a typed
 // ErrCodeOverloaded carrying the limiter's RetryAfter hint.
 func overloaded(err error) *RemoteError {
@@ -348,10 +359,10 @@ func (s *Server) dispatch(out []byte, msgType byte, payload []byte, sp *obs.Span
 		return s.handleClose(out, payload, sp)
 	case MsgPing:
 		// Liveness probe (breaker half-open): no file state touched.
-		if err := wantEmpty(payload); err != nil {
+		if err := Decode(payload, nil); err != nil {
 			return s.errResp(out, ErrCodeBadRequest, err.Error())
 		}
-		return AppendOK(out)
+		return Encode(out, MsgOK, nil)
 	case MsgChecksum:
 		return s.handleChecksum(out, payload, sp)
 	case MsgEpoch:
@@ -361,8 +372,8 @@ func (s *Server) dispatch(out []byte, msgType byte, payload []byte, sp *obs.Span
 }
 
 func (s *Server) handleChecksum(out, payload []byte, sp *obs.Span) []byte {
-	req, err := DecodeChecksum(payload)
-	if err != nil {
+	var req ChecksumReq
+	if err := Decode(payload, &req); err != nil {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
 	}
 	if req.Off < 0 || req.N < 0 {
@@ -383,18 +394,18 @@ func (s *Server) handleChecksum(out, payload []byte, sp *obs.Span) []byte {
 	if err != nil {
 		return s.errResp(out, ErrCodeIO, err.Error())
 	}
-	return AppendChecksumResp(out, sum)
+	return Encode(out, MsgChecksumResp, &checksumResp{Sum: sum})
 }
 
 func (s *Server) errResp(out []byte, code uint64, msg string) []byte {
 	s.met.errCounter(code).Inc()
-	return AppendError(out, code, msg)
+	return appendError(out, &RemoteError{Code: code, Msg: msg})
 }
 
 // refuse encodes a refusal, RetryAfter hint included.
 func (s *Server) refuse(out []byte, re *RemoteError) []byte {
 	s.met.errCounter(re.Code).Inc()
-	return AppendErrorLeader(out, re.Code, re.Msg, re.RetryAfter, "")
+	return appendError(out, &RemoteError{Code: re.Code, Msg: re.Msg, RetryAfter: re.RetryAfter})
 }
 
 // storageFactory returns the factory for one CreateFile request.
@@ -409,8 +420,11 @@ func (s *Server) storageFactory(reopen bool) clusterfile.StorageFactory {
 }
 
 func (s *Server) handleCreateFile(out, payload []byte) []byte {
-	req, err := DecodeCreateFile(payload)
-	if err != nil {
+	var req CreateFileReq
+	if err := Decode(payload, &req); err != nil {
+		return s.errResp(out, ErrCodeBadRequest, err.Error())
+	}
+	if err := CheckFileName(req.Name); err != nil {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
 	}
 	if _, err := codec.DecodeFile(req.Phys); err != nil {
@@ -447,7 +461,7 @@ func (s *Server) handleCreateFile(out, payload []byte) []byte {
 		}
 		sf.stores[sub] = st
 	}
-	return AppendOK(out)
+	return Encode(out, MsgOK, nil)
 }
 
 // handleEpoch ratchets the placement epoch of every store of a file
@@ -456,8 +470,8 @@ func (s *Server) handleCreateFile(out, payload []byte) []byte {
 // driver fans the fence out to every node of the old placement without
 // tracking which subfiles each one holds.
 func (s *Server) handleEpoch(out, payload []byte) []byte {
-	req, err := DecodeEpoch(payload)
-	if err != nil {
+	var req EpochReq
+	if err := Decode(payload, &req); err != nil {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
 	}
 	if req.Epoch == 0 {
@@ -479,12 +493,12 @@ func (s *Server) handleEpoch(out, payload []byte) []byte {
 		sf.fenced = req.Fence
 		sf.mu.Unlock()
 	}
-	return AppendOK(out)
+	return Encode(out, MsgOK, nil)
 }
 
 func (s *Server) handleSetView(out, payload []byte) []byte {
-	req, err := DecodeSetView(payload)
-	if err != nil {
+	var req SetViewReq
+	if err := Decode(payload, &req); err != nil {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
 	}
 	if got := Fingerprint(req.Proj); got != req.Fingerprint {
@@ -498,7 +512,7 @@ func (s *Server) handleSetView(out, payload []byte) []byte {
 	s.mu.Lock()
 	s.projs[req.Fingerprint] = proj
 	s.mu.Unlock()
-	return AppendOK(out)
+	return Encode(out, MsgOK, nil)
 }
 
 // lookup resolves (file, subfile) to its open store, or a refusal.
@@ -624,7 +638,7 @@ func (s *Server) handleWriteSegs(out, payload []byte, sp *obs.Span, tenant strin
 	defer t.release()
 	defer t.sf.mu.Unlock()
 	if len(req.Data) == 0 {
-		return AppendOK(out)
+		return Encode(out, MsgOK, nil)
 	}
 	ssp := sp.StartChild("scatter")
 	if t.proj == nil {
@@ -636,12 +650,12 @@ func (s *Server) handleWriteSegs(out, payload []byte, sp *obs.Span, tenant strin
 	if err != nil {
 		return s.errResp(out, ErrCodeIO, err.Error())
 	}
-	return AppendOK(out)
+	return Encode(out, MsgOK, nil)
 }
 
 func (s *Server) handleReadSegs(out, payload []byte, sp *obs.Span, tenant string) []byte {
 	dsp := sp.StartChild("decode")
-	req, err := DecodeReadSegs(payload)
+	req, err := decodeReadSegs(payload)
 	dsp.End()
 	if err != nil {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
@@ -681,8 +695,8 @@ func (s *Server) handleReadSegs(out, payload []byte, sp *obs.Span, tenant string
 }
 
 func (s *Server) handleStat(out, payload []byte) []byte {
-	req, err := DecodeStat(payload)
-	if err != nil {
+	var req StatReq
+	if err := Decode(payload, &req); err != nil {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
 	}
 	sf, st, rerr := s.lookup(req.File, req.Subfile)
@@ -692,12 +706,12 @@ func (s *Server) handleStat(out, payload []byte) []byte {
 	sf.mu.Lock()
 	n := st.Len()
 	sf.mu.Unlock()
-	return AppendStatResp(out, n)
+	return Encode(out, MsgStatResp, &statResp{Len: n})
 }
 
 func (s *Server) handleClose(out, payload []byte, sp *obs.Span) []byte {
-	req, err := DecodeClose(payload)
-	if err != nil {
+	var req CloseReq
+	if err := Decode(payload, &req); err != nil {
 		return s.errResp(out, ErrCodeBadRequest, err.Error())
 	}
 	s.mu.Lock()
@@ -723,7 +737,7 @@ func (s *Server) handleClose(out, payload []byte, sp *obs.Span) []byte {
 	if len(targets) == 0 {
 		// Unknown file: already closed (a retried Close). Idempotent
 		// success keeps blind client retry safe.
-		return AppendOK(out)
+		return Encode(out, MsgOK, nil)
 	}
 	var firstErr error
 	for _, sf := range targets {
@@ -751,5 +765,5 @@ func (s *Server) handleClose(out, payload []byte, sp *obs.Span) []byte {
 	if firstErr != nil {
 		return s.errResp(out, ErrCodeIO, firstErr.Error())
 	}
-	return AppendOK(out)
+	return Encode(out, MsgOK, nil)
 }

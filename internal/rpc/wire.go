@@ -8,15 +8,16 @@
 // redist projection under its fingerprint once, and every subsequent
 // WriteSegments/ReadSegments names it by fingerprint only, mirroring
 // the paper's amortization argument (PROJ_S travels at view-set time,
-// not per access). The encoding reuses the internal/codec varint
-// primitives, so the structures on the wire are the same ones the
-// in-process path computes.
+// not per access). The encoding is internal/codec's, so the
+// structures on the wire are the same ones the in-process path
+// computes.
 //
 // There is one framing and one connection path. A frame is a 4-byte
 // length, a body — version byte, routing header (stream id, trace
 // context, returned span records), message — and a CRC32C trailer. A
-// message is a type byte plus payload, which is what the Append*
-// encoders build and the Decode* functions take apart. The client
+// message is a type byte plus payload. Every message type is one row
+// of the message table (msgs) and one struct whose Wire method both
+// encodes and decodes its payload on a codec.Coder. The client
 // (client.go, mux.go) multiplexes every call to a node over one
 // connection with write and read deadlines and bounded
 // exponential-backoff retry; every request is idempotent (writes place
@@ -148,78 +149,102 @@ const (
 	MsgError        byte = 0x1F
 )
 
+// msgSpec is the message table's row of one message type.
+type msgSpec struct {
+	// name labels the type in metrics, spans and errors.
+	name string
+	// req marks a request type: each has a per-type request series on
+	// the client and the server.
+	req bool
+	// body returns a zero body to decode into; nil for a message that
+	// is its type byte alone.
+	body func() codec.Message
+}
+
+// msgs is the message table: every message type of the protocol, by
+// type byte. A new message is one struct, one Wire method and one row.
+var msgs = [256]msgSpec{
+	MsgCreateFile: {"create_file", true, func() codec.Message { return new(CreateFileReq) }},
+	MsgSetView:    {"set_view", true, func() codec.Message { return new(SetViewReq) }},
+	MsgWriteSegs:  {"write_segments", true, func() codec.Message { return new(WriteSegsReq) }},
+	MsgReadSegs:   {"read_segments", true, func() codec.Message { return new(ReadSegsReq) }},
+	MsgStat:       {"stat", true, func() codec.Message { return new(StatReq) }},
+	MsgClose:      {"close", true, func() codec.Message { return new(CloseReq) }},
+	MsgPing:       {"ping", true, nil},
+	MsgHello:      {"hello", true, func() codec.Message { return new(hello) }},
+	MsgChecksum:   {"checksum", true, func() codec.Message { return new(ChecksumReq) }},
+	MsgEpoch:      {"epoch", true, func() codec.Message { return new(EpochReq) }},
+
+	MsgMetaCreate:      {"meta_create", true, func() codec.Message { return new(MetaCreateReq) }},
+	MsgMetaOpen:        {"meta_open", true, func() codec.Message { return new(MetaNameReq) }},
+	MsgMetaList:        {"meta_list", true, nil},
+	MsgMetaRemove:      {"meta_remove", true, func() codec.Message { return new(MetaNameReq) }},
+	MsgMetaCommit:      {"meta_commit", true, func() codec.Message { return new(MetaCommitReq) }},
+	MsgMetaExtend:      {"meta_extend", true, func() codec.Message { return new(MetaExtendReq) }},
+	MsgMetaNodes:       {"meta_nodes", true, nil},
+	MsgMetaNode:        {"meta_node", true, func() codec.Message { return new(MetaNode) }},
+	MsgMetaVote:        {"meta_vote", true, func() codec.Message { return new(MetaVoteReq) }},
+	MsgMetaAppend:      {"meta_append", true, func() codec.Message { return new(MetaAppendReq) }},
+	MsgMetaSnapInstall: {"meta_snap_install", true, func() codec.Message { return new(MetaSnapInstallReq) }},
+	MsgMetaStatus:      {"meta_status", true, nil},
+
+	MsgMetaFileResp:   {"meta_file_resp", false, func() codec.Message { return new(MetaFile) }},
+	MsgMetaListResp:   {"meta_list_resp", false, func() codec.Message { return new(MetaListResp) }},
+	MsgMetaNodesResp:  {"meta_nodes_resp", false, func() codec.Message { return new(MetaNodesResp) }},
+	MsgMetaVoteResp:   {"meta_vote_resp", false, func() codec.Message { return new(MetaVoteResp) }},
+	MsgMetaAppendResp: {"meta_append_resp", false, func() codec.Message { return new(MetaAppendResp) }},
+	MsgMetaStatusResp: {"meta_status_resp", false, func() codec.Message { return new(MetaStatusInfo) }},
+
+	MsgOK:           {"ok", false, nil},
+	MsgData:         {"data", false, func() codec.Message { return new(dataResp) }},
+	MsgStatResp:     {"stat_resp", false, func() codec.Message { return new(statResp) }},
+	MsgChecksumResp: {"checksum_resp", false, func() codec.Message { return new(checksumResp) }},
+	MsgError:        {"error", false, func() codec.Message { return new(RemoteError) }},
+}
+
 // MsgName returns the metrics label of a message type.
 func MsgName(t byte) string {
-	switch t {
-	case MsgCreateFile:
-		return "create_file"
-	case MsgSetView:
-		return "set_view"
-	case MsgWriteSegs:
-		return "write_segments"
-	case MsgReadSegs:
-		return "read_segments"
-	case MsgStat:
-		return "stat"
-	case MsgClose:
-		return "close"
-	case MsgPing:
-		return "ping"
-	case MsgHello:
-		return "hello"
-	case MsgChecksum:
-		return "checksum"
-	case MsgEpoch:
-		return "epoch"
-	case MsgMetaCreate:
-		return "meta_create"
-	case MsgMetaOpen:
-		return "meta_open"
-	case MsgMetaList:
-		return "meta_list"
-	case MsgMetaRemove:
-		return "meta_remove"
-	case MsgMetaCommit:
-		return "meta_commit"
-	case MsgMetaExtend:
-		return "meta_extend"
-	case MsgMetaNodes:
-		return "meta_nodes"
-	case MsgMetaNode:
-		return "meta_node"
-	case MsgMetaVote:
-		return "meta_vote"
-	case MsgMetaAppend:
-		return "meta_append"
-	case MsgMetaSnapInstall:
-		return "meta_snap_install"
-	case MsgMetaStatus:
-		return "meta_status"
-	case MsgMetaVoteResp:
-		return "meta_vote_resp"
-	case MsgMetaAppendResp:
-		return "meta_append_resp"
-	case MsgMetaStatusResp:
-		return "meta_status_resp"
-	case MsgMetaFileResp:
-		return "meta_file_resp"
-	case MsgMetaListResp:
-		return "meta_list_resp"
-	case MsgMetaNodesResp:
-		return "meta_nodes_resp"
-	case MsgOK:
-		return "ok"
-	case MsgData:
-		return "data"
-	case MsgStatResp:
-		return "stat_resp"
-	case MsgChecksumResp:
-		return "checksum_resp"
-	case MsgError:
-		return "error"
+	if name := msgs[t].name; name != "" {
+		return name
 	}
 	return "unknown"
 }
+
+// Encode appends a message — type byte t, then body m — to buf. A
+// message that is its type byte alone takes a nil body.
+func Encode(buf []byte, t byte, m codec.Message) []byte {
+	buf = append(buf, t)
+	if m == nil {
+		return buf
+	}
+	return codec.Append(buf, m)
+}
+
+// Decode decodes a message payload into body m, which the payload must
+// fill exactly; a nil body takes an empty payload. Failures wrap
+// ErrCorrupt.
+func Decode(payload []byte, m codec.Message) error {
+	if m == nil {
+		if len(payload) != 0 {
+			return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(payload))
+		}
+		return nil
+	}
+	return corrupt(codec.Decode(payload, m))
+}
+
+// corrupt files a codec failure under ErrCorrupt.
+func corrupt(err error) error {
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return nil
+}
+
+// The data path — every piece's frame header, WriteSegs and ReadSegs
+// heads, Data head and Error — codes through the concrete Wire methods
+// below rather than Encode and Decode: a Coder handed to a method
+// through an interface escapes to the heap, one allocation per call.
 
 // Remote error codes carried by MsgError.
 const (
@@ -413,12 +438,33 @@ type frameHdr struct {
 // header uvarints, an empty span section and the message type.
 const minFrame = 6
 
+// Wire codes the routing header.
+func (h *frameHdr) Wire(c *codec.Coder) {
+	c.Uvarint(&h.sid)
+	c.Uvarint(&h.trace)
+	c.Uvarint(&h.span)
+	codec.List(c, &h.spans)
+	for i := range h.spans {
+		spanWire(c, &h.spans[i])
+	}
+}
+
+// spanWire codes one span record of the header's span section.
+func spanWire(c *codec.Coder, r *obs.SpanRecord) {
+	c.Uvarint(&r.TraceID)
+	c.Uvarint(&r.SpanID)
+	c.Uvarint(&r.Parent)
+	c.String(&r.Name)
+	c.String(&r.Node)
+	c.Varint(&r.Start)
+	c.Varint(&r.End)
+	c.Bool(&r.Err)
+}
+
 func appendFrameHdr(buf []byte, ver byte, h *frameHdr) []byte {
-	buf = append(buf, ver)
-	buf = codec.AppendUvarint(buf, h.sid)
-	buf = codec.AppendUvarint(buf, h.trace)
-	buf = codec.AppendUvarint(buf, h.span)
-	return AppendSpanRecords(buf, h.spans)
+	c := codec.NewEncoder(append(buf, ver))
+	h.Wire(&c)
+	return c.Buf()
 }
 
 // writeFrame writes one frame as a single vectored write (writev on a
@@ -452,8 +498,8 @@ func writeFrame(w io.Writer, ver byte, h *frameHdr, parts ...[]byte) (int, error
 	return n + 8, err
 }
 
-// WriteFrameV writes msg (a type byte plus payload, as the Append*
-// encoders build it) as one untraced frame on stream 0, stamped with
+// WriteFrameV writes msg (a type byte plus payload, as Encode builds
+// it) as one untraced frame on stream 0, stamped with
 // protocol version ver.
 func WriteFrameV(w io.Writer, msg []byte, ver byte) error {
 	_, err := writeFrame(w, ver, &frameHdr{}, msg)
@@ -504,23 +550,13 @@ func parseFrame(body []byte) (h frameHdr, msgType byte, payload []byte, err erro
 	if body[0] != MaxProtoVersion {
 		return h, 0, nil, fmt.Errorf("%w: protocol version %d, want %d", ErrCorrupt, body[0], MaxProtoVersion)
 	}
-	rest := body[1:]
-	if h.sid, rest, err = readUvarint(rest); err != nil {
-		return h, 0, nil, err
+	c := codec.NewDecoder(body[1:])
+	h.Wire(&c)
+	c.Byte(&msgType)
+	if err := c.Err(); err != nil {
+		return h, 0, nil, corrupt(err)
 	}
-	if h.trace, rest, err = readUvarint(rest); err != nil {
-		return h, 0, nil, err
-	}
-	if h.span, rest, err = readUvarint(rest); err != nil {
-		return h, 0, nil, err
-	}
-	if h.spans, rest, err = ReadSpanRecords(rest); err != nil {
-		return h, 0, nil, err
-	}
-	if len(rest) < 1 {
-		return h, 0, nil, fmt.Errorf("%w: frame without a message", ErrCorrupt)
-	}
-	return h, rest[0], rest[1:], nil
+	return h, msgType, c.Buf(), nil
 }
 
 // ParseFrame splits a frame body into message type and payload,
@@ -528,60 +564,6 @@ func parseFrame(body []byte) (h frameHdr, msgType byte, payload []byte, err erro
 func ParseFrame(body []byte) (msgType byte, payload []byte, err error) {
 	_, msgType, payload, err = parseFrame(body)
 	return msgType, payload, err
-}
-
-// beginMsg starts a message of the given type in buf.
-func beginMsg(buf []byte, msgType byte) []byte {
-	return append(buf, msgType)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = codec.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = codec.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-func readString(buf []byte) (string, []byte, error) {
-	b, rest, err := readBytes(buf)
-	return string(b), rest, err
-}
-
-func readBytes(buf []byte) ([]byte, []byte, error) {
-	n, rest, err := codec.ReadUvarint(buf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if n > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("%w: %d-byte field overruns %d-byte buffer", ErrCorrupt, n, len(rest))
-	}
-	return rest[:n], rest[n:], nil
-}
-
-func readUvarint(buf []byte) (uint64, []byte, error) {
-	v, rest, err := codec.ReadUvarint(buf)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return v, rest, nil
-}
-
-func readVarint(buf []byte) (int64, []byte, error) {
-	v, rest, err := codec.ReadVarint(buf)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return v, rest, nil
-}
-
-func wantEmpty(buf []byte) error {
-	if len(buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
-	}
-	return nil
 }
 
 // CreateFileReq registers a file on an I/O node and opens the stores
@@ -596,58 +578,16 @@ type CreateFileReq struct {
 	Epoch uint64
 }
 
-// AppendCreateFile encodes req as a message.
-func AppendCreateFile(buf []byte, req *CreateFileReq) []byte {
-	buf = beginMsg(buf, MsgCreateFile)
-	buf = appendString(buf, req.Name)
-	buf = appendBytes(buf, req.Phys)
-	buf = codec.AppendUvarint(buf, uint64(len(req.Subfiles)))
-	for _, s := range req.Subfiles {
-		buf = codec.AppendUvarint(buf, uint64(s))
+// Wire codes the request; Phys is copied out of the frame.
+func (r *CreateFileReq) Wire(c *codec.Coder) {
+	c.String(&r.Name)
+	c.BytesCopy(&r.Phys)
+	codec.List(c, &r.Subfiles)
+	for i := range r.Subfiles {
+		c.Int(&r.Subfiles[i])
 	}
-	if req.Reopen {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	return codec.AppendUvarint(buf, req.Epoch)
-}
-
-// DecodeCreateFile decodes a MsgCreateFile payload.
-func DecodeCreateFile(payload []byte) (*CreateFileReq, error) {
-	req := &CreateFileReq{}
-	var err error
-	if req.Name, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	var phys []byte
-	if phys, payload, err = readBytes(payload); err != nil {
-		return nil, err
-	}
-	req.Phys = append([]byte(nil), phys...)
-	n, payload, err := readUvarint(payload)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(payload)) {
-		return nil, fmt.Errorf("%w: implausible subfile count %d", ErrCorrupt, n)
-	}
-	req.Subfiles = make([]int, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var s uint64
-		if s, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
-		req.Subfiles = append(req.Subfiles, int(s))
-	}
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: missing reopen flag", ErrCorrupt)
-	}
-	req.Reopen = payload[0] != 0
-	if req.Epoch, payload, err = readUvarint(payload[1:]); err != nil {
-		return nil, err
-	}
-	return req, wantEmpty(payload)
+	c.Bool(&r.Reopen)
+	c.Uvarint(&r.Epoch)
 }
 
 // SetViewReq registers an encoded projection under its fingerprint.
@@ -658,27 +598,10 @@ type SetViewReq struct {
 	Proj        []byte // redist.EncodeProjection
 }
 
-// AppendSetView encodes req as a message.
-func AppendSetView(buf []byte, req *SetViewReq) []byte {
-	buf = beginMsg(buf, MsgSetView)
-	buf = codec.AppendUvarint(buf, req.Fingerprint)
-	buf = appendBytes(buf, req.Proj)
-	return buf
-}
-
-// DecodeSetView decodes a MsgSetView payload.
-func DecodeSetView(payload []byte) (*SetViewReq, error) {
-	req := &SetViewReq{}
-	var err error
-	if req.Fingerprint, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	var proj []byte
-	if proj, payload, err = readBytes(payload); err != nil {
-		return nil, err
-	}
-	req.Proj = append([]byte(nil), proj...)
-	return req, wantEmpty(payload)
+// Wire codes the request; Proj is copied out of the frame.
+func (r *SetViewReq) Wire(c *codec.Coder) {
+	c.Uvarint(&r.Fingerprint)
+	c.BytesCopy(&r.Proj)
 }
 
 // WriteSegsReq is the scatter request. The server grows the subfile to
@@ -698,18 +621,31 @@ type WriteSegsReq struct {
 	Epoch uint64
 }
 
+// Wire codes the request. Data ends the message and aliases the frame
+// buffer; the server copies it into storage before releasing the frame.
+func (r *WriteSegsReq) Wire(c *codec.Coder) {
+	c.Raw(&r.Data, r.head(c))
+}
+
+// head codes the request up to the bytes of Data and returns their
+// count.
+func (r *WriteSegsReq) head(c *codec.Coder) int {
+	c.String(&r.File)
+	c.Varint(&r.Subfile)
+	c.Uvarint(&r.Fingerprint)
+	c.Varint(&r.Lo)
+	c.Varint(&r.Hi)
+	c.Uvarint(&r.Epoch)
+	return c.Len(len(r.Data))
+}
+
 // appendWriteSegsHead encodes req up to, and not including, the bytes
 // of Data, which end the message: the client sends them as their own
 // part of the vectored frame write instead of copying them here.
 func appendWriteSegsHead(buf []byte, req *WriteSegsReq) []byte {
-	buf = beginMsg(buf, MsgWriteSegs)
-	buf = appendString(buf, req.File)
-	buf = codec.AppendVarint(buf, req.Subfile)
-	buf = codec.AppendUvarint(buf, req.Fingerprint)
-	buf = codec.AppendVarint(buf, req.Lo)
-	buf = codec.AppendVarint(buf, req.Hi)
-	buf = codec.AppendUvarint(buf, req.Epoch)
-	return codec.AppendUvarint(buf, uint64(len(req.Data)))
+	c := codec.NewEncoder(append(buf, MsgWriteSegs))
+	req.head(&c)
+	return c.Buf()
 }
 
 // AppendWriteSegs encodes req as a message.
@@ -718,33 +654,15 @@ func AppendWriteSegs(buf []byte, req *WriteSegsReq) []byte {
 }
 
 // DecodeWriteSegs decodes a MsgWriteSegs payload. Data aliases the
-// frame buffer; the server copies it into storage before releasing the
-// frame.
+// frame buffer.
 func DecodeWriteSegs(payload []byte) (*WriteSegsReq, error) {
 	req := &WriteSegsReq{}
-	var err error
-	if req.File, payload, err = readString(payload); err != nil {
+	c := codec.NewDecoder(payload)
+	req.Wire(&c)
+	if err := corrupt(c.Finish()); err != nil {
 		return nil, err
 	}
-	if req.Subfile, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Fingerprint, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Lo, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Hi, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Epoch, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Data, payload, err = readBytes(payload); err != nil {
-		return nil, err
-	}
-	return req, wantEmpty(payload)
+	return req, nil
 }
 
 // ReadSegsReq is the gather request: with a zero fingerprint the
@@ -761,44 +679,31 @@ type ReadSegsReq struct {
 	Epoch uint64
 }
 
-// AppendReadSegs encodes req as a message.
-func AppendReadSegs(buf []byte, req *ReadSegsReq) []byte {
-	buf = beginMsg(buf, MsgReadSegs)
-	buf = appendString(buf, req.File)
-	buf = codec.AppendVarint(buf, req.Subfile)
-	buf = codec.AppendUvarint(buf, req.Fingerprint)
-	buf = codec.AppendVarint(buf, req.Lo)
-	buf = codec.AppendVarint(buf, req.Hi)
-	buf = codec.AppendVarint(buf, req.N)
-	return codec.AppendUvarint(buf, req.Epoch)
+// Wire codes the request.
+func (r *ReadSegsReq) Wire(c *codec.Coder) {
+	c.String(&r.File)
+	c.Varint(&r.Subfile)
+	c.Uvarint(&r.Fingerprint)
+	c.Varint(&r.Lo)
+	c.Varint(&r.Hi)
+	c.Varint(&r.N)
+	c.Uvarint(&r.Epoch)
 }
 
-// DecodeReadSegs decodes a MsgReadSegs payload.
-func DecodeReadSegs(payload []byte) (*ReadSegsReq, error) {
+func appendReadSegs(buf []byte, req *ReadSegsReq) []byte {
+	c := codec.NewEncoder(append(buf, MsgReadSegs))
+	req.Wire(&c)
+	return c.Buf()
+}
+
+func decodeReadSegs(payload []byte) (*ReadSegsReq, error) {
 	req := &ReadSegsReq{}
-	var err error
-	if req.File, payload, err = readString(payload); err != nil {
+	c := codec.NewDecoder(payload)
+	req.Wire(&c)
+	if err := corrupt(c.Finish()); err != nil {
 		return nil, err
 	}
-	if req.Subfile, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Fingerprint, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Lo, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Hi, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.N, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Epoch, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	return req, wantEmpty(payload)
+	return req, nil
 }
 
 // StatReq asks for a subfile's current length.
@@ -807,25 +712,10 @@ type StatReq struct {
 	Subfile int64
 }
 
-// AppendStat encodes req as a message.
-func AppendStat(buf []byte, req *StatReq) []byte {
-	buf = beginMsg(buf, MsgStat)
-	buf = appendString(buf, req.File)
-	buf = codec.AppendVarint(buf, req.Subfile)
-	return buf
-}
-
-// DecodeStat decodes a MsgStat payload.
-func DecodeStat(payload []byte) (*StatReq, error) {
-	req := &StatReq{}
-	var err error
-	if req.File, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	if req.Subfile, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	return req, wantEmpty(payload)
+// Wire codes the request.
+func (r *StatReq) Wire(c *codec.Coder) {
+	c.String(&r.File)
+	c.Varint(&r.Subfile)
 }
 
 // CloseReq syncs and closes every store of the file on the receiving
@@ -838,91 +728,23 @@ type CloseReq struct {
 	Remove bool
 }
 
-// AppendClose encodes req as a message.
-func AppendClose(buf []byte, req *CloseReq) []byte {
-	buf = beginMsg(buf, MsgClose)
-	buf = appendString(buf, req.File)
-	if req.Remove {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
+// Wire codes the request.
+func (r *CloseReq) Wire(c *codec.Coder) {
+	c.String(&r.File)
+	c.Bool(&r.Remove)
 }
 
-// DecodeClose decodes a MsgClose payload.
-func DecodeClose(payload []byte) (*CloseReq, error) {
-	req := &CloseReq{}
-	var err error
-	if req.File, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: missing remove flag", ErrCorrupt)
-	}
-	req.Remove = payload[0] != 0
-	return req, wantEmpty(payload[1:])
+// hello is the connection preface: the protocol version the client
+// speaks and its fair-share tenant (empty = default class).
+type hello struct {
+	Ver    byte
+	Tenant string
 }
 
-// AppendPing encodes the empty liveness probe.
-func AppendPing(buf []byte) []byte { return beginMsg(buf, MsgPing) }
-
-// AppendOK encodes the empty success response.
-func AppendOK(buf []byte) []byte { return beginMsg(buf, MsgOK) }
-
-// appendDataHead begins a payload-carrying success response of n data
-// bytes, which the caller appends (or gathers in place) behind it.
-func appendDataHead(buf []byte, n int) []byte {
-	buf = beginMsg(buf, MsgData)
-	return codec.AppendUvarint(buf, uint64(n))
-}
-
-// AppendData encodes a payload-carrying success response.
-func AppendData(buf, data []byte) []byte {
-	return append(appendDataHead(buf, len(data)), data...)
-}
-
-// DecodeData decodes a MsgData payload. The returned bytes alias the
-// frame buffer.
-func DecodeData(payload []byte) ([]byte, error) {
-	b, payload, err := readBytes(payload)
-	if err != nil {
-		return nil, err
-	}
-	return b, wantEmpty(payload)
-}
-
-// AppendStatResp encodes a Stat response.
-func AppendStatResp(buf []byte, length int64) []byte {
-	buf = beginMsg(buf, MsgStatResp)
-	return codec.AppendVarint(buf, length)
-}
-
-// DecodeStatResp decodes a MsgStatResp payload.
-func DecodeStatResp(payload []byte) (int64, error) {
-	n, payload, err := readVarint(payload)
-	if err != nil {
-		return 0, err
-	}
-	return n, wantEmpty(payload)
-}
-
-// AppendHello encodes the connection preface: the protocol version
-// the client speaks and its fair-share tenant (empty = default class).
-func AppendHello(buf []byte, ver byte, tenant string) []byte {
-	buf = beginMsg(buf, MsgHello)
-	buf = append(buf, ver)
-	return appendString(buf, tenant)
-}
-
-// DecodeHello decodes a MsgHello payload.
-func DecodeHello(payload []byte) (ver byte, tenant string, err error) {
-	if len(payload) < 1 {
-		return 0, "", fmt.Errorf("%w: hello without version byte", ErrCorrupt)
-	}
-	ver = payload[0]
-	if tenant, payload, err = readString(payload[1:]); err != nil {
-		return 0, "", err
-	}
-	return ver, tenant, wantEmpty(payload)
+// Wire codes the preface.
+func (h *hello) Wire(c *codec.Coder) {
+	c.Byte(&h.Ver)
+	c.String(&h.Tenant)
 }
 
 // ChecksumReq asks for the CRC32C of subfile bytes [Off, Off+N); bytes
@@ -933,175 +755,93 @@ type ChecksumReq struct {
 	Off, N  int64
 }
 
-// AppendChecksum encodes req as a message.
-func AppendChecksum(buf []byte, req *ChecksumReq) []byte {
-	buf = beginMsg(buf, MsgChecksum)
-	buf = appendString(buf, req.File)
-	buf = codec.AppendVarint(buf, req.Subfile)
-	buf = codec.AppendVarint(buf, req.Off)
-	buf = codec.AppendVarint(buf, req.N)
-	return buf
+// Wire codes the request.
+func (r *ChecksumReq) Wire(c *codec.Coder) {
+	c.String(&r.File)
+	c.Varint(&r.Subfile)
+	c.Varint(&r.Off)
+	c.Varint(&r.N)
 }
 
-// DecodeChecksum decodes a MsgChecksum payload.
-func DecodeChecksum(payload []byte) (*ChecksumReq, error) {
-	req := &ChecksumReq{}
-	var err error
-	if req.File, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	if req.Subfile, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Off, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if req.N, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	return req, wantEmpty(payload)
+// dataResp is a payload-carrying success response.
+type dataResp struct {
+	Data []byte
 }
 
-// AppendChecksumResp encodes a Checksum response.
-func AppendChecksumResp(buf []byte, sum uint32) []byte {
-	buf = beginMsg(buf, MsgChecksumResp)
-	return codec.AppendUvarint(buf, uint64(sum))
+// Wire codes the response; Data aliases the frame buffer.
+func (d *dataResp) Wire(c *codec.Coder) {
+	c.Bytes(&d.Data)
 }
 
-// DecodeChecksumResp decodes a MsgChecksumResp payload.
-func DecodeChecksumResp(payload []byte) (uint32, error) {
-	v, payload, err := readUvarint(payload)
-	if err != nil {
-		return 0, err
-	}
+// appendDataHead begins a payload-carrying success response of n data
+// bytes, which the caller appends (or gathers in place) behind it.
+func appendDataHead(buf []byte, n int) []byte {
+	c := codec.NewEncoder(append(buf, MsgData))
+	c.Len(n)
+	return c.Buf()
+}
+
+func decodeData(payload []byte) ([]byte, error) {
+	var d dataResp
+	c := codec.NewDecoder(payload)
+	d.Wire(&c)
+	return d.Data, corrupt(c.Finish())
+}
+
+// statResp answers a Stat with the subfile's length.
+type statResp struct {
+	Len int64
+}
+
+// Wire codes the response.
+func (r *statResp) Wire(c *codec.Coder) {
+	c.Varint(&r.Len)
+}
+
+// checksumResp answers a Checksum.
+type checksumResp struct {
+	Sum uint32
+}
+
+// Wire codes the sum as a uvarint; a decoded one must fit 32 bits.
+func (r *checksumResp) Wire(c *codec.Coder) {
+	v := uint64(r.Sum)
+	c.Uvarint(&v)
 	if v > 0xFFFFFFFF {
-		return 0, fmt.Errorf("%w: checksum %d overflows uint32", ErrCorrupt, v)
+		c.Fail(fmt.Errorf("checksum %d overflows uint32", v))
 	}
-	return uint32(v), wantEmpty(payload)
+	r.Sum = uint32(v)
 }
 
-// AppendError encodes an error response without hints.
-func AppendError(buf []byte, code uint64, msg string) []byte {
-	return AppendErrorLeader(buf, code, msg, 0, "")
-}
-
-// AppendErrorLeader encodes an error response with a retry-after hint
+// Wire codes an error response: code, message, the retry-after hint
 // (uvarint milliseconds; sub-millisecond hints round up to 1ms so the
-// hint survives the wire) and a leader redirect hint.
-func AppendErrorLeader(buf []byte, code uint64, msg string, retryAfter time.Duration, leader string) []byte {
-	buf = beginMsg(buf, MsgError)
-	buf = codec.AppendUvarint(buf, code)
-	buf = appendString(buf, msg)
-	ms := uint64(retryAfter.Milliseconds())
-	if ms == 0 && retryAfter > 0 {
+// hint survives the wire) and the leader redirect hint.
+func (e *RemoteError) Wire(c *codec.Coder) {
+	c.Uvarint(&e.Code)
+	c.String(&e.Msg)
+	ms := uint64(e.RetryAfter.Milliseconds())
+	if ms == 0 && e.RetryAfter > 0 {
 		ms = 1
 	}
-	buf = codec.AppendUvarint(buf, ms)
-	return appendString(buf, leader)
+	c.Uvarint(&ms)
+	if c.Decoding() {
+		e.RetryAfter = time.Duration(ms) * time.Millisecond
+	}
+	c.String(&e.Leader)
 }
 
-// DecodeError decodes a MsgError payload.
-func DecodeError(payload []byte) (*RemoteError, error) {
+func appendError(buf []byte, e *RemoteError) []byte {
+	c := codec.NewEncoder(append(buf, MsgError))
+	e.Wire(&c)
+	return c.Buf()
+}
+
+func decodeError(payload []byte) (*RemoteError, error) {
 	e := &RemoteError{}
-	var err error
-	if e.Code, payload, err = readUvarint(payload); err != nil {
+	c := codec.NewDecoder(payload)
+	e.Wire(&c)
+	if err := corrupt(c.Finish()); err != nil {
 		return nil, err
 	}
-	if e.Msg, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	var ms uint64
-	if ms, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	e.RetryAfter = time.Duration(ms) * time.Millisecond
-	if e.Leader, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	return e, wantEmpty(payload)
-}
-
-// --- tracing: span records (frame header section) ---
-
-// maxSpanRecords bounds a decoded record batch: no legitimate op tree
-// is deeper or wider than this, and the cap stops a corrupt count
-// from allocating the machine away.
-const maxSpanRecords = 1 << 16
-
-func appendSpanRecord(buf []byte, r *obs.SpanRecord) []byte {
-	buf = codec.AppendUvarint(buf, r.TraceID)
-	buf = codec.AppendUvarint(buf, r.SpanID)
-	buf = codec.AppendUvarint(buf, r.Parent)
-	buf = appendString(buf, r.Name)
-	buf = appendString(buf, r.Node)
-	buf = codec.AppendVarint(buf, r.Start)
-	buf = codec.AppendVarint(buf, r.End)
-	var e byte
-	if r.Err {
-		e = 1
-	}
-	return append(buf, e)
-}
-
-func readSpanRecord(payload []byte) (obs.SpanRecord, []byte, error) {
-	var r obs.SpanRecord
-	var err error
-	if r.TraceID, payload, err = readUvarint(payload); err != nil {
-		return r, nil, err
-	}
-	if r.SpanID, payload, err = readUvarint(payload); err != nil {
-		return r, nil, err
-	}
-	if r.Parent, payload, err = readUvarint(payload); err != nil {
-		return r, nil, err
-	}
-	if r.Name, payload, err = readString(payload); err != nil {
-		return r, nil, err
-	}
-	if r.Node, payload, err = readString(payload); err != nil {
-		return r, nil, err
-	}
-	if r.Start, payload, err = readVarint(payload); err != nil {
-		return r, nil, err
-	}
-	if r.End, payload, err = readVarint(payload); err != nil {
-		return r, nil, err
-	}
-	if len(payload) < 1 {
-		return r, nil, fmt.Errorf("%w: span record without error byte", ErrCorrupt)
-	}
-	r.Err = payload[0] != 0
-	return r, payload[1:], nil
-}
-
-// AppendSpanRecords encodes a uvarint count followed by the records.
-func AppendSpanRecords(buf []byte, recs []obs.SpanRecord) []byte {
-	buf = codec.AppendUvarint(buf, uint64(len(recs)))
-	for i := range recs {
-		buf = appendSpanRecord(buf, &recs[i])
-	}
-	return buf
-}
-
-// ReadSpanRecords decodes a record batch, returning the remainder.
-func ReadSpanRecords(payload []byte) ([]obs.SpanRecord, []byte, error) {
-	n, payload, err := readUvarint(payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > maxSpanRecords {
-		return nil, nil, fmt.Errorf("%w: implausible span record count %d", ErrCorrupt, n)
-	}
-	if n == 0 {
-		return nil, payload, nil
-	}
-	recs := make([]obs.SpanRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var r obs.SpanRecord
-		if r, payload, err = readSpanRecord(payload); err != nil {
-			return nil, nil, err
-		}
-		recs = append(recs, r)
-	}
-	return recs, payload, nil
+	return e, nil
 }

@@ -6,16 +6,7 @@
 
 package rpc
 
-import (
-	"fmt"
-
-	"parafile/internal/codec"
-)
-
-// maxReplEntries bounds a decoded log-shipping batch. The leader ships
-// one mutation per batch in steady state; the cap only stops a corrupt
-// count from allocating the machine away.
-const maxReplEntries = 1 << 12
+import "parafile/internal/codec"
 
 // ReplEntry is one replicated namespace log record: the leader's log
 // position and the raw store record payload (the same bytes the
@@ -36,33 +27,12 @@ type MetaVoteReq struct {
 	LastTerm  uint64
 }
 
-// AppendMetaVote encodes req as a message.
-func AppendMetaVote(buf []byte, req *MetaVoteReq) []byte {
-	buf = beginMsg(buf, MsgMetaVote)
-	buf = codec.AppendUvarint(buf, req.Term)
-	buf = appendString(buf, req.Candidate)
-	buf = codec.AppendUvarint(buf, req.LastIndex)
-	buf = codec.AppendUvarint(buf, req.LastTerm)
-	return buf
-}
-
-// DecodeMetaVote decodes a MsgMetaVote payload.
-func DecodeMetaVote(payload []byte) (*MetaVoteReq, error) {
-	req := &MetaVoteReq{}
-	var err error
-	if req.Term, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Candidate, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	if req.LastIndex, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if req.LastTerm, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	return req, wantEmpty(payload)
+// Wire codes the ballot.
+func (r *MetaVoteReq) Wire(c *codec.Coder) {
+	c.Uvarint(&r.Term)
+	c.String(&r.Candidate)
+	c.Uvarint(&r.LastIndex)
+	c.Uvarint(&r.LastTerm)
 }
 
 // MetaVoteResp is the voter's verdict plus its current term, so a
@@ -72,30 +42,10 @@ type MetaVoteResp struct {
 	Granted bool
 }
 
-// AppendMetaVoteResp encodes resp as a message.
-func AppendMetaVoteResp(buf []byte, resp *MetaVoteResp) []byte {
-	buf = beginMsg(buf, MsgMetaVoteResp)
-	buf = codec.AppendUvarint(buf, resp.Term)
-	if resp.Granted {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf
-}
-
-// DecodeMetaVoteResp decodes a MsgMetaVoteResp payload.
-func DecodeMetaVoteResp(payload []byte) (*MetaVoteResp, error) {
-	resp := &MetaVoteResp{}
-	var err error
-	if resp.Term, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: vote response without verdict byte", ErrCorrupt)
-	}
-	resp.Granted = payload[0] != 0
-	return resp, wantEmpty(payload[1:])
+// Wire codes the verdict.
+func (r *MetaVoteResp) Wire(c *codec.Coder) {
+	c.Uvarint(&r.Term)
+	c.Bool(&r.Granted)
 }
 
 // MetaAppendReq ships log records from the leader to a follower. An
@@ -112,64 +62,19 @@ type MetaAppendReq struct {
 	Entries   []ReplEntry
 }
 
-// AppendMetaAppend encodes req as a message.
-func AppendMetaAppend(buf []byte, req *MetaAppendReq) []byte {
-	buf = beginMsg(buf, MsgMetaAppend)
-	buf = codec.AppendUvarint(buf, req.Term)
-	buf = appendString(buf, req.Leader)
-	buf = codec.AppendUvarint(buf, req.PrevIndex)
-	buf = codec.AppendUvarint(buf, req.PrevTerm)
-	buf = codec.AppendUvarint(buf, uint64(len(req.Entries)))
-	for i := range req.Entries {
-		e := &req.Entries[i]
-		buf = codec.AppendUvarint(buf, e.Index)
-		buf = codec.AppendUvarint(buf, e.Term)
-		buf = appendBytes(buf, e.Payload)
+// Wire codes the batch; entry payloads are copied out of the frame.
+func (r *MetaAppendReq) Wire(c *codec.Coder) {
+	c.Uvarint(&r.Term)
+	c.String(&r.Leader)
+	c.Uvarint(&r.PrevIndex)
+	c.Uvarint(&r.PrevTerm)
+	codec.List(c, &r.Entries)
+	for i := range r.Entries {
+		e := &r.Entries[i]
+		c.Uvarint(&e.Index)
+		c.Uvarint(&e.Term)
+		c.BytesCopy(&e.Payload)
 	}
-	return buf
-}
-
-// DecodeMetaAppend decodes a MsgMetaAppend payload. Entry payloads are
-// copied out of the frame buffer.
-func DecodeMetaAppend(payload []byte) (*MetaAppendReq, error) {
-	req := &MetaAppendReq{}
-	var err error
-	if req.Term, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Leader, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	if req.PrevIndex, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if req.PrevTerm, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	n, payload, err := readUvarint(payload)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxReplEntries {
-		return nil, fmt.Errorf("%w: implausible entry count %d", ErrCorrupt, n)
-	}
-	req.Entries = make([]ReplEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e ReplEntry
-		if e.Index, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
-		if e.Term, payload, err = readUvarint(payload); err != nil {
-			return nil, err
-		}
-		var p []byte
-		if p, payload, err = readBytes(payload); err != nil {
-			return nil, err
-		}
-		e.Payload = append([]byte(nil), p...)
-		req.Entries = append(req.Entries, e)
-	}
-	return req, wantEmpty(payload)
 }
 
 // MetaAppendResp acks or nacks an append batch (and snapshot
@@ -181,35 +86,11 @@ type MetaAppendResp struct {
 	LastIndex uint64
 }
 
-// AppendMetaAppendResp encodes resp as a message.
-func AppendMetaAppendResp(buf []byte, resp *MetaAppendResp) []byte {
-	buf = beginMsg(buf, MsgMetaAppendResp)
-	buf = codec.AppendUvarint(buf, resp.Term)
-	if resp.OK {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = codec.AppendUvarint(buf, resp.LastIndex)
-	return buf
-}
-
-// DecodeMetaAppendResp decodes a MsgMetaAppendResp payload.
-func DecodeMetaAppendResp(payload []byte) (*MetaAppendResp, error) {
-	resp := &MetaAppendResp{}
-	var err error
-	if resp.Term, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: append response without verdict byte", ErrCorrupt)
-	}
-	resp.OK = payload[0] != 0
-	payload = payload[1:]
-	if resp.LastIndex, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	return resp, wantEmpty(payload)
+// Wire codes the answer.
+func (r *MetaAppendResp) Wire(c *codec.Coder) {
+	c.Uvarint(&r.Term)
+	c.Bool(&r.OK)
+	c.Uvarint(&r.LastIndex)
 }
 
 // MetaSnapInstallReq transfers a full serialized namespace state
@@ -224,40 +105,13 @@ type MetaSnapInstallReq struct {
 	State     []byte
 }
 
-// AppendMetaSnapInstall encodes req as a message.
-func AppendMetaSnapInstall(buf []byte, req *MetaSnapInstallReq) []byte {
-	buf = beginMsg(buf, MsgMetaSnapInstall)
-	buf = codec.AppendUvarint(buf, req.Term)
-	buf = appendString(buf, req.Leader)
-	buf = codec.AppendUvarint(buf, req.LastIndex)
-	buf = codec.AppendUvarint(buf, req.LastTerm)
-	buf = appendBytes(buf, req.State)
-	return buf
-}
-
-// DecodeMetaSnapInstall decodes a MsgMetaSnapInstall payload. State is
-// copied out of the frame buffer.
-func DecodeMetaSnapInstall(payload []byte) (*MetaSnapInstallReq, error) {
-	req := &MetaSnapInstallReq{}
-	var err error
-	if req.Term, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if req.Leader, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	if req.LastIndex, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if req.LastTerm, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	var state []byte
-	if state, payload, err = readBytes(payload); err != nil {
-		return nil, err
-	}
-	req.State = append([]byte(nil), state...)
-	return req, wantEmpty(payload)
+// Wire codes the request; State is copied out of the frame.
+func (r *MetaSnapInstallReq) Wire(c *codec.Coder) {
+	c.Uvarint(&r.Term)
+	c.String(&r.Leader)
+	c.Uvarint(&r.LastIndex)
+	c.Uvarint(&r.LastTerm)
+	c.BytesCopy(&r.State)
 }
 
 // Replication roles reported by MetaStatus.
@@ -283,50 +137,14 @@ type MetaStatusInfo struct {
 	Peers int64
 }
 
-// AppendMetaStatus encodes the empty status probe.
-func AppendMetaStatus(buf []byte) []byte { return beginMsg(buf, MsgMetaStatus) }
-
-// AppendMetaStatusResp encodes info as a message.
-func AppendMetaStatusResp(buf []byte, info *MetaStatusInfo) []byte {
-	buf = beginMsg(buf, MsgMetaStatusResp)
-	buf = codec.AppendUvarint(buf, info.Term)
-	buf = appendString(buf, info.Role)
-	buf = appendString(buf, info.Leader)
-	buf = appendString(buf, info.Self)
-	buf = codec.AppendUvarint(buf, info.LastIndex)
-	buf = codec.AppendUvarint(buf, info.LastTerm)
-	buf = codec.AppendVarint(buf, info.LeaseMs)
-	buf = codec.AppendVarint(buf, info.Peers)
-	return buf
-}
-
-// DecodeMetaStatusResp decodes a MsgMetaStatusResp payload.
-func DecodeMetaStatusResp(payload []byte) (*MetaStatusInfo, error) {
-	info := &MetaStatusInfo{}
-	var err error
-	if info.Term, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if info.Role, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	if info.Leader, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	if info.Self, payload, err = readString(payload); err != nil {
-		return nil, err
-	}
-	if info.LastIndex, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if info.LastTerm, payload, err = readUvarint(payload); err != nil {
-		return nil, err
-	}
-	if info.LeaseMs, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	if info.Peers, payload, err = readVarint(payload); err != nil {
-		return nil, err
-	}
-	return info, wantEmpty(payload)
+// Wire codes the status.
+func (r *MetaStatusInfo) Wire(c *codec.Coder) {
+	c.Uvarint(&r.Term)
+	c.String(&r.Role)
+	c.String(&r.Leader)
+	c.String(&r.Self)
+	c.Uvarint(&r.LastIndex)
+	c.Uvarint(&r.LastTerm)
+	c.Varint(&r.LeaseMs)
+	c.Varint(&r.Peers)
 }
