@@ -279,3 +279,26 @@ func TestClientCloseMidTrafficLeaksNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateRefusesStoreNames: generation N of file "a" is stored as
+// "a@N" and its replica tier r as "a~rR", so a namespace name holding
+// '@' or '~' could take another file's store name (and a rebalance of
+// "a" would then write into it). Such names, and the names the data
+// daemons refuse, are refused at create.
+func TestCreateRefusesStoreNames(t *testing.T) {
+	cl, _ := startTestService(t)
+	ctx := context.Background()
+	if _, err := cl.MetaNodeSet(ctx, "n1:1", rpc.NodeActive); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.MetaCreate(ctx, &rpc.MetaCreateReq{Name: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a@2", "a~r1", "../a", "a/b", "", ".."} {
+		_, err := cl.MetaCreate(ctx, &rpc.MetaCreateReq{Name: name})
+		var re *rpc.RemoteError
+		if !errors.As(err, &re) || re.Code != rpc.ErrCodeBadRequest {
+			t.Errorf("MetaCreate(%q) = %v, want a bad-request refusal", name, err)
+		}
+	}
+}

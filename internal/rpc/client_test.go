@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -369,5 +370,33 @@ func TestRemoveStoreSweepsOnlyReplicaStores(t *testing.T) {
 	}
 	if _, err := c.Stat(ctx, "data~rX", 0); err != nil {
 		t.Fatalf("distinct file swept away with its prefix twin: %v", err)
+	}
+}
+
+// TestCreateFileRefusesEscapingName: a daemon opens the stores of a
+// file under its data directory as "<name>.subfileNN", so a name from
+// the wire that is empty, a dot name, or holds a path separator or NUL
+// is refused with a bad-request answer before any store is opened —
+// "../escape" must not create a file beside the data directory.
+func TestCreateFileRefusesEscapingName(t *testing.T) {
+	root := t.TempDir()
+	addr, _ := startServer(t, ServerConfig{DataDir: filepath.Join(root, "data")})
+	c := NewClient(ClientConfig{Addr: addr})
+	defer c.Close()
+	ctx := context.Background()
+	phys := encodeTestPhys(t)
+	for _, name := range []string{"../escape", "", ".", "..", "a/b", `a\b`, "a\x00b"} {
+		err := c.CreateFile(ctx, &CreateFileReq{Name: name, Phys: phys, Subfiles: []int{0}})
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != ErrCodeBadRequest {
+			t.Errorf("CreateFile(%q) = %v, want a bad-request refusal", name, err)
+		}
+	}
+	if escaped, _ := filepath.Glob(filepath.Join(root, "*.subfile*")); len(escaped) != 0 {
+		t.Fatalf("stores created outside the data directory: %v", escaped)
+	}
+	// Store names of rebalanced generations and replica tiers are fine.
+	if err := c.CreateFile(ctx, &CreateFileReq{Name: "a@2~r1", Phys: phys, Subfiles: []int{0}}); err != nil {
+		t.Fatalf("CreateFile(a@2~r1): %v", err)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -825,7 +826,8 @@ func (e *RemoteError) Wire(c *codec.Coder) {
 	}
 	c.Uvarint(&ms)
 	if c.Decoding() {
-		e.RetryAfter = time.Duration(ms) * time.Millisecond
+		// A hint past time.Duration's range saturates instead of wrapping.
+		e.RetryAfter = time.Duration(min(ms, math.MaxInt64/uint64(time.Millisecond))) * time.Millisecond
 	}
 	c.String(&e.Leader)
 }
