@@ -405,7 +405,7 @@ func (s *Server) errResp(out []byte, code uint64, msg string) []byte {
 // refuse encodes a refusal, RetryAfter hint included.
 func (s *Server) refuse(out []byte, re *RemoteError) []byte {
 	s.met.errCounter(re.Code).Inc()
-	return appendError(out, &RemoteError{Code: re.Code, Msg: re.Msg, RetryAfter: re.RetryAfter})
+	return appendError(out, re)
 }
 
 // storageFactory returns the factory for one CreateFile request.

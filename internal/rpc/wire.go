@@ -154,8 +154,9 @@ const (
 type msgSpec struct {
 	// name labels the type in metrics, spans and errors.
 	name string
-	// req marks a request type: each has a per-type request series on
-	// the client and the server.
+	// req marks a request type a client sends as a call: each has a
+	// per-type request series on the client and the server. The hello
+	// preface is a request the dial sends, not a call.
 	req bool
 	// body returns a zero body to decode into; nil for a message that
 	// is its type byte alone.
@@ -172,7 +173,7 @@ var msgs = [256]msgSpec{
 	MsgStat:       {"stat", true, func() codec.Message { return new(StatReq) }},
 	MsgClose:      {"close", true, func() codec.Message { return new(CloseReq) }},
 	MsgPing:       {"ping", true, nil},
-	MsgHello:      {"hello", true, func() codec.Message { return new(hello) }},
+	MsgHello:      {"hello", false, func() codec.Message { return new(hello) }},
 	MsgChecksum:   {"checksum", true, func() codec.Message { return new(ChecksumReq) }},
 	MsgEpoch:      {"epoch", true, func() codec.Message { return new(EpochReq) }},
 
@@ -241,11 +242,6 @@ func corrupt(err error) error {
 	}
 	return nil
 }
-
-// The data path — every piece's frame header, WriteSegs and ReadSegs
-// heads, Data head and Error — codes through the concrete Wire methods
-// below rather than Encode and Decode: a Coder handed to a method
-// through an interface escapes to the heap, one allocation per call.
 
 // Remote error codes carried by MsgError.
 const (
@@ -643,6 +639,12 @@ func (r *WriteSegsReq) head(c *codec.Coder) int {
 // appendWriteSegsHead encodes req up to, and not including, the bytes
 // of Data, which end the message: the client sends them as their own
 // part of the vectored frame write instead of copying them here.
+//
+// Like every data-path helper — the frame header, the WriteSegs and
+// ReadSegs heads, the Data head and Error, coded on every piece — it
+// calls the concrete Wire method rather than Encode or Decode: a coder
+// handed to Wire through an interface escapes to the heap, one
+// allocation per call (TestDataPathAllocs).
 func appendWriteSegsHead(buf []byte, req *WriteSegsReq) []byte {
 	c := codec.NewEncoder(append(buf, MsgWriteSegs))
 	req.head(&c)
@@ -691,12 +693,14 @@ func (r *ReadSegsReq) Wire(c *codec.Coder) {
 	c.Uvarint(&r.Epoch)
 }
 
+// appendReadSegs encodes req as a message (a data-path helper).
 func appendReadSegs(buf []byte, req *ReadSegsReq) []byte {
 	c := codec.NewEncoder(append(buf, MsgReadSegs))
 	req.Wire(&c)
 	return c.Buf()
 }
 
+// decodeReadSegs decodes a MsgReadSegs payload (a data-path helper).
 func decodeReadSegs(payload []byte) (*ReadSegsReq, error) {
 	req := &ReadSegsReq{}
 	c := codec.NewDecoder(payload)
@@ -782,6 +786,8 @@ func appendDataHead(buf []byte, n int) []byte {
 	return c.Buf()
 }
 
+// decodeData decodes a MsgData payload; the bytes alias the frame (a
+// data-path helper).
 func decodeData(payload []byte) ([]byte, error) {
 	var d dataResp
 	c := codec.NewDecoder(payload)
@@ -832,12 +838,14 @@ func (e *RemoteError) Wire(c *codec.Coder) {
 	c.String(&e.Leader)
 }
 
+// appendError encodes an error response (a data-path helper).
 func appendError(buf []byte, e *RemoteError) []byte {
 	c := codec.NewEncoder(append(buf, MsgError))
 	e.Wire(&c)
 	return c.Buf()
 }
 
+// decodeError decodes a MsgError payload (a data-path helper).
 func decodeError(payload []byte) (*RemoteError, error) {
 	e := &RemoteError{}
 	c := codec.NewDecoder(payload)
